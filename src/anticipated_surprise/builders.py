@@ -1,7 +1,9 @@
 """Constructors for the resolution trees behind each standard scheme.
 
-Every builder returns a validated tree whose exhaustive evaluation is
-the reference value for the matching formula in ``closed_form``.
+Every builder returns a tree whose exhaustive evaluation is the
+reference value for the matching formula in ``closed_form``.  Builders
+check their own arguments but do not walk the tree they return;
+validation happens in the evaluation walk (``tree.validate``).
 """
 
 from __future__ import annotations

@@ -40,7 +40,7 @@ from .closed_form import (
 )
 from .core import ModelParams, Modulation, ValidationError
 from .scaling import NoScaling, FixedScale, ScalingMode, parse_scaling_mode, scaled_evaluation
-from .tree import ResolutionNode, expected_value, load_tree
+from .tree import ResolutionNode, load_tree
 
 SCHEMES = ("gamble", "hazard", "timing", "dual-a-after", "dual-a-before", "dual-b")
 FIGURES = (
@@ -131,9 +131,8 @@ def evaluate_point(
     point: SchemePoint, params: ModelParams, mode: ScalingMode
 ) -> tuple[float, float, float]:
     """(raw expected value, surprise of the scaled tree, final utility)."""
-    node = build_scheme_tree(point)
-    result = scaled_evaluation(node, params, mode)
-    return expected_value(node), result.scaled.total_surprise, result.utility
+    result = scaled_evaluation(build_scheme_tree(point), params, mode)
+    return result.raw_expected_value, result.scaled.total_surprise, result.utility
 
 
 def timing_ratio_point(point: SchemePoint, params: ModelParams) -> float:
@@ -145,13 +144,35 @@ def timing_ratio_point(point: SchemePoint, params: ModelParams) -> float:
     return u_tr / u_fix
 
 
-def dual_ratio_point(point: SchemePoint, params: ModelParams, k2_prob: float) -> float:
-    """Tree-based discount ratio U_pt / (U_p * U_t)."""
+def hazard_utility(p: float | None, n: int | None, params: ModelParams) -> float:
+    """U_t of the dual ratio: the plain hazard chain at p and n."""
+    return evaluate_point(SchemePoint("hazard", p=p, n=n), params, NoScaling())[2]
+
+
+def gamble_utility(p_pr: float | None, params: ModelParams, k2_prob: float) -> float:
+    """U_p of the dual ratio: the unit gamble won with probability p_pr,
+    at the probability-only gain k2_prob."""
+    gamble = SchemePoint("gamble", hi=1.0, lo=0.0, p=p_pr)
+    return evaluate_point(gamble, params.with_k2(k2_prob), NoScaling())[2]
+
+
+def dual_ratio_point(
+    point: SchemePoint,
+    params: ModelParams,
+    k2_prob: float,
+    u_t: float | None = None,
+    u_p: float | None = None,
+) -> float:
+    """Tree-based discount ratio U_pt / (U_p * U_t).
+
+    Callers that share a denominator between points with the same p and
+    n (``u_t``) or p_pr (``u_p``) may pass it in.
+    """
+    if u_t is None:
+        u_t = hazard_utility(point.p, point.n, params)
+    if u_p is None:
+        u_p = gamble_utility(point.require("p_pr"), params, k2_prob)
     _, _, u_pt = evaluate_point(point, params, NoScaling())
-    hazard = SchemePoint("hazard", p=point.p, n=point.n)
-    _, _, u_t = evaluate_point(hazard, params, NoScaling())
-    gamble = SchemePoint("gamble", hi=1.0, lo=0.0, p=point.require("p_pr"))
-    _, _, u_p = evaluate_point(gamble, params.with_k2(k2_prob), NoScaling())
     return u_pt / (u_p * u_t)
 
 
@@ -265,10 +286,12 @@ def figure_rows(fig_id: str, overrides: dict | None = None) -> tuple[list[str], 
         params = ModelParams(k, alpha, pick("k1", 2.0), pick("k2", 10.0))
         k2_prob = pick("k2_prob", 2.0 if fig_id == "fig7" else 10.0)
         xs = grid_points(0.3, 0.99, 70) if fig_id == "fig7" else grid_points(0.05, 0.99, 95)
+        u_t = hazard_utility(p, n, params)
         rows = []
         for p_pr in xs:
+            u_p = gamble_utility(p_pr, params, k2_prob)
             ratios = [
-                dual_ratio_point(SchemePoint(s, p=p, n=n, p_pr=p_pr), params, k2_prob)
+                dual_ratio_point(SchemePoint(s, p=p, n=n, p_pr=p_pr), params, k2_prob, u_t, u_p)
                 for s in ("dual-a-after", "dual-a-before", "dual-b")
             ]
             rows.append([p_pr, *ratios])

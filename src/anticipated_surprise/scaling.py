@@ -12,14 +12,14 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from .core import ModelParams, ValidationError
+from .core import ModelParams, ValidationError, utility
 from .tree import (
     Branch,
     EvaluationResult,
     Internal,
     ResolutionNode,
     Terminal,
-    evaluate,
+    _stage_surprises,
     validate,
 )
 
@@ -114,32 +114,21 @@ def parse_scaling_mode(text: str) -> ScalingMode:
     )
 
 
-def _payoff_range(node: ResolutionNode) -> tuple[float, float]:
-    lo = math.inf
-    hi = -math.inf
-    stack = [node]
-    while stack:
-        nd = stack.pop()
-        if isinstance(nd, Terminal):
-            lo = min(lo, nd.payoff)
-            hi = max(hi, nd.payoff)
-        else:
-            stack.extend(br.child for br in nd.branches)
-    return lo, hi
-
-
 def derive_transform(node: ResolutionNode, mode: ScalingMode) -> AffineTransform:
     """The transform a mode prescribes for this tree's payoffs.
 
     Degenerate trees (all payoffs equal) get the identity under the
     range-based modes: there is nothing to normalize.
     """
-    validate(node)
+    report = validate(node)
+    return _transform_for(report.payoff_min, report.payoff_max, mode)
+
+
+def _transform_for(lo: float, hi: float, mode: ScalingMode) -> AffineTransform:
     if isinstance(mode, NoScaling):
         return AffineTransform()
     if isinstance(mode, FixedScale):
         return AffineTransform(scale=mode.scale, offset=0.0)
-    lo, hi = _payoff_range(node)
     if hi == lo:
         return AffineTransform()
     if isinstance(mode, FullScaling):
@@ -148,7 +137,11 @@ def derive_transform(node: ResolutionNode, mode: ScalingMode) -> AffineTransform
 
 
 def transform_payoffs(node: ResolutionNode, transform: AffineTransform) -> ResolutionNode:
-    """Copy of the tree with every terminal payoff mapped."""
+    """Copy of the tree with every terminal payoff mapped.
+
+    Evaluation never needs the copy (see ``scaled_evaluation``); it is the
+    reference that the analytic scaling is tested against.
+    """
     if isinstance(node, Terminal):
         return Terminal(transform.apply(node.payoff))
     return Internal(
@@ -164,17 +157,32 @@ class ScaledEvaluation:
     transform: AffineTransform
     scaled: EvaluationResult
     utility: float
+    #: Expected value of the tree as given, before normalization.
+    raw_expected_value: float
 
 
 def scaled_evaluation(
     node: ResolutionNode, params: ModelParams, mode: ScalingMode
 ) -> ScaledEvaluation:
-    transform = derive_transform(node, mode)
-    scaled = evaluate(transform_payoffs(node, transform), params)
+    """Evaluate the normalized tree without building it.
+
+    Mapping payoffs by x -> (x - offset) / scale maps every conditional
+    expected value the same way, so the offset cancels in each jump and
+    the surprise pass only divides the raw jumps by scale.  The raw
+    tree's own surprise and utility are never computed, so payoffs too
+    large for them still evaluate once normalized.
+    """
+    report = validate(node)
+    transform = _transform_for(report.payoff_min, report.payoff_max, mode)
+    surprises = tuple(_stage_surprises(node, report.conditional_values, params, transform.scale))
+    total = sum(surprises)
+    u0 = transform.apply(report.expected_value)
+    scaled = EvaluationResult(u0, surprises, total, utility(u0, total, params))
     return ScaledEvaluation(
         transform=transform,
         scaled=scaled,
         utility=transform.invert_utility(scaled.utility),
+        raw_expected_value=report.expected_value,
     )
 
 

@@ -16,7 +16,7 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass, field
-from math import isfinite
+from math import inf, isfinite
 from typing import Union
 
 from .core import ModelParams, ValidationError, surprise_kernel, utility
@@ -57,13 +57,25 @@ ResolutionNode = Union[Terminal, Internal]
 
 @dataclass
 class ValidationReport:
-    """Outcome of a structural check; renormalized paths had probability
-    sums off from 1 by at most PROBABILITY_SUM_TOL and are divided
-    through by their exact sum during evaluation."""
+    """Outcome of the validation walk.
+
+    Renormalized paths had probability sums off from 1 by at most
+    PROBABILITY_SUM_TOL and are divided through by their exact sum during
+    evaluation.  The walk also yields what evaluation needs: the payoff
+    range, the root's expected value and, in ``conditional_values``, the
+    conditional expected value of every internal node keyed by ``id()``
+    (valid while the tree it was computed from is alive).
+    """
 
     node_count: int = 0
     max_depth: int = 0
     renormalized: list[str] = field(default_factory=list)
+    payoff_min: float = inf
+    payoff_max: float = -inf
+    expected_value: float = 0.0
+    conditional_values: dict[int, float] = field(
+        default_factory=dict, repr=False, compare=False
+    )
 
 
 @dataclass(frozen=True)
@@ -76,64 +88,88 @@ class EvaluationResult:
     utility: float
 
 
-def validate(node: ResolutionNode) -> ValidationReport:
-    """Check payoff finiteness, branch probabilities, and weights.
+def _path(stack: list, *indices: int) -> str:
+    """Path of the node reached from the walk's open ancestors (the
+    post-visit entries on ``stack``) through the given branch indices."""
+    trail = [i for _, _, i, post in stack if post] + list(indices)
+    return "root" + "".join(f".branches[{i}]" for i in trail if i >= 0)
 
+
+def validate(node: ResolutionNode) -> ValidationReport:
+    """Check payoff finiteness, branch probabilities, and weights, and
+    compute every internal node's conditional expected value.
+
+    One explicit-stack post-order walk, so any depth works.  A node's
+    value is sum(p * child value) / sum(p) over its branches in order.
     Raises ValidationError naming the path of the offending node.
     """
     report = ValidationReport()
-    stack = [(node, "root", 0)]
+    values = report.conditional_values
+    count = max_depth = 0
+    lo, hi = inf, -inf
+    # (node, depth, branch index in its parent, post-visit?)
+    stack: list = [(node, 0, -1, False)]
+    push, pop = stack.append, stack.pop
     while stack:
-        nd, path, depth = stack.pop()
-        report.node_count += 1
-        report.max_depth = max(report.max_depth, depth)
+        nd, depth, index, post = pop()
+        if post:
+            num = total = 0.0
+            for br in nd.branches:
+                child = br.child
+                p = br.probability
+                num += p * (child.payoff if isinstance(child, Terminal) else values[id(child)])
+                total += p
+            values[id(nd)] = num / total
+            continue
+        count += 1
+        if depth > max_depth:
+            max_depth = depth
         if isinstance(nd, Terminal):
-            if not isfinite(nd.payoff):
-                raise ValidationError(f"{path}: payoff must be finite, got {nd.payoff!r}")
+            payoff = nd.payoff
+            if not isfinite(payoff):
+                raise ValidationError(f"{_path(stack, index)}: payoff must be finite, got {payoff!r}")
+            if payoff < lo:
+                lo = payoff
+            if payoff > hi:
+                hi = payoff
             continue
         if not isinstance(nd, Internal):
-            raise ValidationError(f"{path}: not a resolution node: {nd!r}")
-        if not nd.branches:
-            raise ValidationError(f"{path}: internal node needs at least one branch")
-        if not isfinite(nd.surprise_weight) or nd.surprise_weight < 0.0:
+            raise ValidationError(f"{_path(stack, index)}: not a resolution node: {nd!r}")
+        branches = nd.branches
+        if not branches:
+            raise ValidationError(f"{_path(stack, index)}: internal node needs at least one branch")
+        weight = nd.surprise_weight
+        if not isfinite(weight) or weight < 0.0:
             raise ValidationError(
-                f"{path}: surprise_weight must be finite and >= 0, got {nd.surprise_weight!r}"
+                f"{_path(stack, index)}: surprise_weight must be finite and >= 0, got {weight!r}"
             )
+        # the node's post-visit entry first, so it is popped after its children
+        push((nd, depth, index, True))
+        depth += 1
         total = 0.0
-        for i, br in enumerate(nd.branches):
-            if not isfinite(br.probability) or not 0.0 < br.probability <= 1.0:
-                raise ValidationError(
-                    f"{path}.branches[{i}]: probability must lie in (0, 1], got {br.probability!r}"
-                )
-            total += br.probability
-            stack.append((br.child, f"{path}.branches[{i}]", depth + 1))
+        for i, br in enumerate(branches):
+            p = br.probability
+            if not 0.0 < p <= 1.0:  # also rejects nan and inf
+                raise ValidationError(f"{_path(stack, i)}: probability must lie in (0, 1], got {p!r}")
+            total += p
+            push((br.child, depth, i, False))
         if abs(total - 1.0) > PROBABILITY_SUM_TOL:
             raise ValidationError(
-                f"{path}: branch probabilities sum to {total!r}, expected 1 "
+                f"{_path(stack)}: branch probabilities sum to {total!r}, expected 1 "
                 f"within {PROBABILITY_SUM_TOL}"
             )
         if total != 1.0:
-            report.renormalized.append(path)
+            report.renormalized.append(_path(stack))
+    report.node_count = count
+    report.max_depth = max_depth
+    report.payoff_min, report.payoff_max = lo, hi
+    report.expected_value = node.payoff if isinstance(node, Terminal) else values[id(node)]
     return report
-
-
-def _expected_value(node: ResolutionNode, memo: dict[int, float]) -> float:
-    if isinstance(node, Terminal):
-        return node.payoff
-    key = id(node)
-    cached = memo.get(key)
-    if cached is not None:
-        return cached
-    total = sum(br.probability for br in node.branches)
-    value = sum(br.probability * _expected_value(br.child, memo) for br in node.branches) / total
-    memo[key] = value
-    return value
 
 
 def expected_value(node: ResolutionNode) -> float:
     """Probability-weighted payoff over all resolution paths."""
-    validate(node)
-    return _expected_value(node, {})
+    return validate(node).expected_value
 
 
 def stage_surprises(node: ResolutionNode, params: ModelParams) -> list[float]:
@@ -146,8 +182,15 @@ def stage_surprises(node: ResolutionNode, params: ModelParams) -> list[float]:
     trajectories because each node stands for the class of trajectories
     sharing its history.
     """
-    validate(node)
-    memo: dict[int, float] = {}
+    return _stage_surprises(node, validate(node).conditional_values, params)
+
+
+def _stage_surprises(
+    node: ResolutionNode, values: dict[int, float], params: ModelParams, scale: float = 1.0
+) -> list[float]:
+    """The level-order surprise pass over a validated tree; ``values`` is
+    its walk's table of conditional expected values.  Each jump is divided
+    by ``scale``, which evaluates the tree with payoffs divided by it."""
     out: list[float] = []
     level: list[tuple[ResolutionNode, float]] = [(node, 1.0)]
     while level:
@@ -159,15 +202,15 @@ def stage_surprises(node: ResolutionNode, params: ModelParams) -> list[float]:
                 continue
             saw_internal = True
             total = sum(br.probability for br in nd.branches)
-            e_here = _expected_value(nd, memo)
-            jump = sum(
-                (br.probability / total)
-                * surprise_kernel(_expected_value(br.child, memo) - e_here, params)
-                for br in nd.branches
-            )
-            stage_total += reach * nd.surprise_weight * jump
+            e_here = values[id(nd)]
+            jump = 0.0
             for br in nd.branches:
-                nxt.append((br.child, reach * (br.probability / total)))
+                child = br.child
+                value = child.payoff if isinstance(child, Terminal) else values[id(child)]
+                q = br.probability / total
+                jump += q * surprise_kernel((value - e_here) / scale, params)
+                nxt.append((child, reach * q))
+            stage_total += reach * nd.surprise_weight * jump
         if saw_internal:
             out.append(stage_total)
         level = nxt
@@ -176,8 +219,9 @@ def stage_surprises(node: ResolutionNode, params: ModelParams) -> list[float]:
 
 def evaluate(node: ResolutionNode, params: ModelParams) -> EvaluationResult:
     """Expected value, per-stage surprises, their sum, and the utility."""
-    surprises = stage_surprises(node, params)
-    u0 = _expected_value(node, {})
+    report = validate(node)
+    surprises = _stage_surprises(node, report.conditional_values, params)
+    u0 = report.expected_value
     total = sum(surprises)
     return EvaluationResult(
         expected_value=u0,
@@ -264,9 +308,11 @@ def load_tree(path: str) -> ResolutionNode:
     """Read a tree-specification file and validate it."""
     with open(path, encoding="utf-8") as fh:
         try:
-            obj = json.load(fh)
+            node = tree_from_dict(json.load(fh))
         except json.JSONDecodeError as exc:
             raise ValidationError(f"{path}: not valid JSON: {exc}") from exc
-    node = tree_from_dict(obj)
+        except RecursionError:
+            # both the JSON parser and tree_from_dict recurse per level
+            raise ValidationError(f"{path}: tree nested too deep to parse") from None
     validate(node)
     return node

@@ -98,6 +98,18 @@ class TestEval:
         assert float(row["utility"]) == pytest.approx(-0.3975, abs=1e-4)
         assert row["u0"] == "0"  # raw expected value
 
+    def test_large_payoffs_under_full_scaling(self, capsys):
+        # unscaled, this gamble's utility overflows: exp(2 * ~997)
+        code, out, _ = run(
+            capsys,
+            ["eval", "--scheme", "gamble", "--hi", "1e5", "--lo", "0", "--p", "1e-5",
+             "--scaling", "full"],
+        )
+        assert code == 0
+        header, rows = parse_csv(out)
+        row = dict(zip(header, rows[0]))
+        assert float(row["utility"]) == pytest.approx(1.00001993988, rel=1e-9)
+
     def test_missing_flag_is_validation_failure(self, capsys):
         code, _, err = run(capsys, ["eval", "--scheme", "hazard", "--p", "0.03"])
         assert code == 2
@@ -114,6 +126,15 @@ class TestEval:
     def test_missing_tree_file_is_io_failure(self, capsys):
         code, _, err = run(capsys, ["eval", "--scheme", "tree:/no/such/file.json"])
         assert code == 1
+
+    def test_tree_file_too_deep_to_parse_is_validation_failure(self, capsys, tmp_path):
+        depth = 2000
+        head = '{"branches": [{"p": 0.1, "node": {"payoff": 0.0}}, {"p": 0.9, "node": ' * depth
+        path = tmp_path / "deep.json"
+        path.write_text(head + '{"payoff": 1.0}' + "}]}" * depth)
+        code, out, err = run(capsys, ["eval", "--scheme", f"tree:{path}"])
+        assert code == 2 and out == ""
+        assert err == f"error: {path}: tree nested too deep to parse\n"
 
 
 class TestFigures:
@@ -323,6 +344,32 @@ class TestHelpers:
         got = dual_ratio_point(point, params, 2.0)
         want = discount_ratio(DualRiskSpec(0.03, 4, 0.7, DualScheme.SEPARATE_AFTER, 2.0), params)
         assert got == pytest.approx(want, abs=1e-9)
+
+    @pytest.mark.parametrize(
+        "point",
+        [
+            SchemePoint("gamble", hi=2.0, lo=-1.0, p=0.3),
+            SchemePoint("hazard", p=0.03, n=50),
+            SchemePoint("timing", p=0.03, n=4, p_tr=0.5, k_tr=10.0),
+            SchemePoint("dual-a-before", p=0.03, n=4, p_pr=0.7),
+        ],
+    )
+    @pytest.mark.parametrize("mode", ["none", "full", "partial:0.5"])
+    def test_evaluate_point_walks_each_tree_once(self, monkeypatch, point, mode):
+        from anticipated_surprise import scaling, tree
+        from anticipated_surprise.scaling import parse_scaling_mode
+
+        calls = []
+        original = tree.validate
+
+        def counting(node):
+            calls.append(node)
+            return original(node)
+
+        for module in (tree, scaling):
+            monkeypatch.setattr(module, "validate", counting)
+        evaluate_point(point, ModelParams(), parse_scaling_mode(mode))
+        assert len(calls) == 1
 
     def test_evaluate_point_u0_is_raw(self):
         point = SchemePoint("gamble", hi=10.0, lo=-10.0, p=0.5)

@@ -1,3 +1,4 @@
+import math
 import random
 
 import pytest
@@ -10,6 +11,7 @@ from anticipated_surprise import (
     Internal,
     ModelParams,
     NoScaling,
+    Modulation,
     PartialScaling,
     Terminal,
     ValidationError,
@@ -18,6 +20,7 @@ from anticipated_surprise import (
     evaluate,
     evaluate_scaled,
     parse_scaling_mode,
+    scaled_evaluation,
     transform_payoffs,
 )
 from conftest import random_tree
@@ -128,6 +131,50 @@ class TestEvaluateScaled:
             lhs = evaluate_scaled(mapped, P, FullScaling())
             rhs = a * evaluate_scaled(tree, P, FullScaling()) + b
             assert lhs == pytest.approx(rhs, abs=1e-9)
+
+    def test_analytic_scaling_matches_scaled_copy(self):
+        # the scaled tree's surprises are the raw ones times scale**-alpha;
+        # evaluating an explicit scaled copy is the reference
+        rng = random.Random(5)
+        for _ in range(100):
+            tree = random_tree(rng, max_depth=4)
+            params = ModelParams(
+                k=rng.uniform(1.5, 4.0), alpha=rng.uniform(1.1, 2.5), k1=rng.uniform(0.0, 3.0),
+                k2=rng.uniform(0.0, 10.0), modulation=rng.choice(list(Modulation)),
+            )
+            for mode in (FullScaling(), PartialScaling(rng.uniform(0.2, 1.0)),
+                         FixedScale(rng.uniform(0.1, 20.0))):
+                got = scaled_evaluation(tree, params, mode)
+                ref = evaluate(transform_payoffs(tree, got.transform), params)
+                pairs = [
+                    (got.scaled.total_surprise, ref.total_surprise),
+                    (got.scaled.utility, ref.utility),
+                    (got.utility, got.transform.invert_utility(ref.utility)),
+                    *zip(got.scaled.stage_surprises, ref.stage_surprises),
+                ]
+                assert len(got.scaled.stage_surprises) == len(ref.stage_surprises)
+                for a, b in pairs:
+                    assert math.isclose(a, b, rel_tol=1e-12), (mode, a, b)
+                assert got.raw_expected_value == evaluate(tree, params).expected_value
+
+    @pytest.mark.parametrize(
+        "tree, mode",
+        [
+            (build_binary_gamble(1e5, 0.0, 1e-5), FullScaling()),
+            (build_binary_gamble(1e5, 0.0, 1e-5), PartialScaling(0.5)),
+            (random_tree(random.Random(11), payoff_range=(-1e200, 1e200)), FullScaling()),
+        ],
+    )
+    def test_payoffs_too_large_to_evaluate_raw(self, tree, mode):
+        # the raw utility (or kernel) overflows; only the normalized tree
+        # is evaluated, so the scaled result is finite
+        with pytest.raises(OverflowError):
+            evaluate(tree, P)
+        got = scaled_evaluation(tree, P, mode)
+        ref = evaluate(transform_payoffs(tree, got.transform), P)
+        assert math.isclose(got.scaled.total_surprise, ref.total_surprise, rel_tol=1e-12)
+        assert math.isclose(got.scaled.utility, ref.utility, rel_tol=1e-12)
+        assert math.isfinite(got.utility)
 
     def test_transform_payoffs_keeps_structure(self):
         tree = build_binary_gamble(4.0, -2.0, 0.25)

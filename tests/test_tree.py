@@ -80,6 +80,26 @@ class TestValidation:
         assert report.renormalized == ["root"]
         assert expected_value(node) == pytest.approx(0.5, abs=1e-12)
 
+    def test_paths_name_nested_nodes(self):
+        # paths are rebuilt from the walk's open ancestors, past finished
+        # and pending siblings alike
+        near = Internal((Branch(0.5, Terminal(1.0)), Branch(0.5 + 2e-13, Terminal(0.0))))
+        bad = Internal((Branch(0.5, Terminal(1.0)), Branch(0.5, Terminal(math.nan))))
+        tree = Internal((
+            Branch(0.25, gamble(1.0, 0.0, 0.5)),
+            Branch(0.5, Internal((Branch(0.5, near), Branch(0.5, gamble(2.0, 0.0, 0.5))))),
+            Branch(0.25, gamble(1.0, 0.0, 0.5)),
+        ))
+        report = validate(tree)
+        assert report.renormalized == ["root.branches[1].branches[0]"]
+        assert (report.node_count, report.max_depth) == (14, 3)
+        assert (report.payoff_min, report.payoff_max) == (0.0, 2.0)
+        broken = Internal((Branch(0.5, gamble(1.0, 0.0, 0.5)), Branch(0.5, Internal(
+            (Branch(0.5, Terminal(0.0)), Branch(0.5, bad))))))
+        with pytest.raises(ValidationError, match=r"^root\.branches\[1\]\.branches\[1\]"
+                                                  r"\.branches\[1\]: payoff"):
+            validate(broken)
+
     def test_beyond_tolerance_rejected(self):
         node = Internal((Branch(0.5, Terminal(1.0)), Branch(0.5 + 1e-9, Terminal(0.0))))
         with pytest.raises(ValidationError, match="sum"):
@@ -96,6 +116,18 @@ class TestExpectedValue:
     def test_chain_survival_product(self):
         assert expected_value(chain(0.03, 4)) == pytest.approx(0.97**4, abs=1e-14)
         assert 0.97**4 == pytest.approx(0.88529281, abs=1e-12)
+
+
+class TestDepth:
+    def test_deep_hazard_chain_matches_closed_form(self):
+        # the walk and the surprise pass are iterative: no recursion limit
+        from anticipated_surprise import HazardSpec, build_hazard_chain, discount_factor
+
+        params = ModelParams(k2=10.0)
+        chain = build_hazard_chain(0.03, 20_000)
+        assert validate(chain).max_depth == 20_000
+        want = discount_factor(HazardSpec(0.03, 20_000), params)
+        assert math.isclose(evaluate(chain, params).utility, want, rel_tol=1e-9)
 
 
 class TestStageSurprises:
