@@ -4,6 +4,11 @@ Every builder returns a tree whose exhaustive evaluation is the
 reference value for the matching formula in ``closed_form``.  Builders
 check their own arguments but do not walk the tree they return;
 validation happens in the evaluation walk (``tree.validate``).
+
+Nodes are immutable and may be shared within a tree: every level of a
+hazard chain reuses one loss branch ``Branch(p, Terminal(0.0))``.  A
+shared node is visited, and counted in ``ValidationReport.node_count``,
+once per path.
 """
 
 from __future__ import annotations
@@ -32,9 +37,15 @@ def build_hazard_chain(p: float, n: int) -> ResolutionNode:
         raise ValidationError(f"p must lie in (0, 1), got {p!r}")
     if int(n) != n or n < 1:
         raise ValidationError(f"n must be an integer >= 1, got {n!r}")
-    node: ResolutionNode = Terminal(1.0)
-    for _ in range(int(n)):
-        node = Internal((Branch(p, Terminal(0.0)), Branch(1.0 - p, node)))
+    return _chain(p, int(n), Terminal(1.0))
+
+
+def _chain(p: float, n: int, node: ResolutionNode) -> ResolutionNode:
+    """Stack n hazard levels on node, each losing the reward with
+    probability p; all levels share one loss branch."""
+    loss, q = Branch(p, Terminal(0.0)), 1.0 - p
+    for _ in range(n):
+        node = Internal((loss, Branch(q, node)))
     return node
 
 
@@ -48,17 +59,12 @@ def build_timing_risk(spec: TimingRiskSpec) -> ResolutionNode:
     n is k_tr*delta_tr0, stages n+1 and n+2 sum to delta_late, and the
     expected value is p_tr*q**(n-1) + (1-p_tr)*q**(n+1).
     """
-    p, q = spec.p, 1.0 - spec.p
-    late: ResolutionNode = Terminal(1.0)
-    for _ in range(2):
-        late = Internal((Branch(p, Terminal(0.0)), Branch(q, late)))
-    node: ResolutionNode = Internal(
+    late = _chain(spec.p, 2, Terminal(1.0))
+    reveal = Internal(
         (Branch(spec.p_tr, Terminal(1.0)), Branch(1.0 - spec.p_tr, late)),
         surprise_weight=spec.k_tr,
     )
-    for _ in range(int(spec.n) - 1):
-        node = Internal((Branch(p, Terminal(0.0)), Branch(q, node)))
-    return node
+    return _chain(spec.p, int(spec.n) - 1, reveal)
 
 
 def build_dual_scheme_a(spec: DualRiskSpec) -> ResolutionNode:
@@ -66,10 +72,7 @@ def build_dual_scheme_a(spec: DualRiskSpec) -> ResolutionNode:
     after the hazard chain (chain survival leads into the success
     gamble) or before it (the gamble gates entry to the chain)."""
     if spec.scheme is DualScheme.SEPARATE_AFTER:
-        node: ResolutionNode = build_binary_gamble(1.0, 0.0, spec.p_pr)
-        for _ in range(int(spec.n)):
-            node = Internal((Branch(spec.p, Terminal(0.0)), Branch(1.0 - spec.p, node)))
-        return node
+        return _chain(spec.p, int(spec.n), build_binary_gamble(1.0, 0.0, spec.p_pr))
     if spec.scheme is DualScheme.SEPARATE_BEFORE:
         return Internal(
             (

@@ -13,7 +13,7 @@ what ``eval`` prints for the matching point.  The only closed-form-only
 quantity is the fixed-delay comparison utility inside timing ratios,
 whose fractional delay has no tree.
 
-Exit codes: 0 ok, 1 i/o failure, 2 validation failure.
+Exit codes: 0 ok, 1 i/o failure, 2 validation failure or numeric overflow.
 """
 
 from __future__ import annotations
@@ -550,6 +550,13 @@ def main(argv: list[str] | None = None) -> int:
         return cmd_sweep(args)
     except ValidationError as exc:
         print(f"error: {exc}", file=sys.stderr)
+        return 2
+    except OverflowError as exc:
+        print(
+            f"error: numeric overflow ({exc}): the surprise is too large for a float; "
+            "rescale the payoffs with --scaling full or --scaling partial:<gamma>",
+            file=sys.stderr,
+        )
         return 2
     except OSError as exc:
         print(f"i/o error: {exc}", file=sys.stderr)

@@ -15,7 +15,7 @@ import math
 from dataclasses import dataclass
 from enum import Enum
 
-from .core import ModelParams, ValidationError, surprise_modulation, utility
+from .core import ModelParams, ValidationError, utility
 
 
 @dataclass(frozen=True)
@@ -282,8 +282,3 @@ def discount_ratio(spec: DualRiskSpec, params: ModelParams) -> float:
     p_params = params.with_k2(spec.k2_prob)
     u_p = utility(spec.p_pr, prob_only_surprise(spec.p_pr, p_params), p_params)
     return u_pt / (u_p * u_t)
-
-
-def modulation(delta: float, params: ModelParams) -> float:
-    """Re-export of the core correction g, for callers composing ratios."""
-    return surprise_modulation(delta, params)

@@ -9,7 +9,12 @@ ground truth the analytic formulas in ``closed_form`` are checked
 against.
 
 Trees are immutable after construction and evaluation is pure, so any
-number of threads may evaluate the same tree concurrently.
+number of threads may evaluate the same tree concurrently.  Immutability
+also lets a tree share equal parts, as the builders share one loss
+branch along a hazard chain.  A shared node is visited, and counted in
+``ValidationReport.node_count``, once per path through it; its
+conditional expected value depends only on its subtree, so one entry
+keyed by its ``id()`` serves every path.
 """
 
 from __future__ import annotations
@@ -257,7 +262,7 @@ def _collapse(node: ResolutionNode) -> ResolutionNode:
 
 # ---------------------------------------------------------------------------
 # File format: {"payoff": x} | {"branches": [{"p": p, "node": ...}, ...],
-#               "weight": w}   (weight optional, default 1)
+#               "weight": w}   (weight optional, default 1; no other keys)
 # ---------------------------------------------------------------------------
 
 
@@ -270,12 +275,16 @@ def tree_from_dict(obj: object, path: str = "root") -> ResolutionNode:
         payoff = obj["payoff"]
         if not isinstance(payoff, (int, float)) or isinstance(payoff, bool):
             raise ValidationError(f"{path}: payoff must be a number, got {payoff!r}")
+        if len(obj) != 1:
+            raise _unknown_keys(obj, ("payoff",), path)
         return Terminal(float(payoff))
     if "branches" not in obj:
         raise ValidationError(f"{path}: node needs either 'payoff' or 'branches'")
     raw = obj["branches"]
     if not isinstance(raw, list) or not raw:
         raise ValidationError(f"{path}: 'branches' must be a non-empty array")
+    if len(obj) != 1 + ("weight" in obj):
+        raise _unknown_keys(obj, ("branches", "weight"), path)
     branches = []
     for i, entry in enumerate(raw):
         where = f"{path}.branches[{i}]"
@@ -284,11 +293,18 @@ def tree_from_dict(obj: object, path: str = "root") -> ResolutionNode:
         prob = entry["p"]
         if not isinstance(prob, (int, float)) or isinstance(prob, bool):
             raise ValidationError(f"{where}: 'p' must be a number, got {prob!r}")
+        if len(entry) != 2:
+            raise _unknown_keys(entry, ("p", "node"), where)
         branches.append(Branch(float(prob), tree_from_dict(entry["node"], where)))
     weight = obj.get("weight", 1.0)
     if not isinstance(weight, (int, float)) or isinstance(weight, bool):
         raise ValidationError(f"{path}: 'weight' must be a number, got {weight!r}")
     return Internal(tuple(branches), float(weight))
+
+
+def _unknown_keys(obj: dict, allowed: tuple[str, ...], path: str) -> ValidationError:
+    extra = ", ".join(repr(k) for k in obj if k not in allowed)
+    return ValidationError(f"{path}: unknown key {extra}; allowed: {', '.join(allowed)}")
 
 
 def tree_to_dict(node: ResolutionNode) -> dict:

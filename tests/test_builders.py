@@ -1,10 +1,12 @@
 import pytest
 
 from anticipated_surprise import (
+    Branch,
     DualRiskSpec,
     DualScheme,
     FullScaling,
     HazardSpec,
+    Internal,
     ModelParams,
     ScenarioSpec,
     ScenarioVariant,
@@ -17,11 +19,14 @@ from anticipated_surprise import (
     build_hazard_chain,
     build_scenario,
     build_timing_risk,
+    collapse_deterministic,
     evaluate,
     evaluate_scaled,
     expected_value,
     hazard_total_surprise,
     stage_surprises,
+    tree_from_dict,
+    tree_to_dict,
     validate,
 )
 
@@ -201,3 +206,86 @@ class TestAllBuildersValidate:
             report = validate(tree)
             assert report.node_count >= 3
             assert not isinstance(tree, Terminal)
+
+
+def unshared_chain(p, n, node):
+    """n hazard levels built one at a time, each with its own loss branch
+    and its own 1 - p: the reference the shared builders must match."""
+    for _ in range(n):
+        node = Internal((Branch(p, Terminal(0.0)), Branch(1.0 - p, node)))
+    return node
+
+
+def shared_and_unshared(scheme, p, n):
+    """(built tree, unshared reference, hazard-chain lengths top-down)."""
+    if scheme == "hazard":
+        return build_hazard_chain(p, n), unshared_chain(p, n, Terminal(1.0)), [n]
+    if scheme == "timing":
+        spec = TimingRiskSpec(p, n, 0.4, 2.0)
+        reveal = Internal(
+            (Branch(0.4, Terminal(1.0)), Branch(1.0 - 0.4, unshared_chain(p, 2, Terminal(1.0)))),
+            surprise_weight=2.0,
+        )
+        return build_timing_risk(spec), unshared_chain(p, n - 1, reveal), [n - 1, 2]
+    if scheme == "dual-a-after":
+        spec = DualRiskSpec(p, n, 0.6, DualScheme.SEPARATE_AFTER)
+        gamble = build_binary_gamble(1.0, 0.0, 0.6)
+        return build_dual_scheme_a(spec), unshared_chain(p, n, gamble), [n]
+    if scheme == "dual-a-before":
+        spec = DualRiskSpec(p, n, 0.6, DualScheme.SEPARATE_BEFORE)
+        gate = Internal(
+            (Branch(0.6, unshared_chain(p, n, Terminal(1.0))), Branch(1.0 - 0.6, Terminal(0.0)))
+        )
+        return build_dual_scheme_a(spec), gate, [n]
+    spec = DualRiskSpec(p, n, 0.6, DualScheme.INCORPORATED)
+    return build_dual_scheme_b(spec), unshared_chain(spec.inflated_hazard(), n, Terminal(1.0)), [n]
+
+
+def loss_branches(tree):
+    """The loss branch of every hazard level, top-down along the chain; a
+    hazard level is an internal node whose first branch pays 0."""
+    out, stack = [], [tree]
+    while stack:
+        nd = stack.pop()
+        if isinstance(nd, Internal):
+            if nd.branches[0].child == Terminal(0.0):
+                out.append(nd.branches[0])
+            stack.extend(br.child for br in nd.branches)
+    return out
+
+
+SHARED_SCHEMES = ("hazard", "timing", "dual-a-after", "dual-a-before", "dual-b")
+SHARED_GRID = [(p, n) for p in (0.03, 0.3) for n in (2, 5, 9)]
+
+
+class TestSharedStructure:
+    @pytest.mark.parametrize("scheme", SHARED_SCHEMES)
+    def test_each_chain_reuses_one_loss_branch(self, scheme):
+        for p, n in SHARED_GRID:
+            tree, _, lengths = shared_and_unshared(scheme, p, n)
+            found = loss_branches(tree)
+            assert len(found) == sum(lengths)
+            start = 0
+            for length in lengths:
+                chain = found[start:start + length]
+                assert all(br is chain[0] for br in chain)
+                start += length
+
+    @pytest.mark.parametrize("scheme", SHARED_SCHEMES)
+    def test_bit_identical_to_unshared_tree(self, scheme):
+        for params in (P, ModelParams(k=1.5, alpha=1.3, k1=0.7, k2=4.0)):
+            for p, n in SHARED_GRID:
+                tree, reference, _ = shared_and_unshared(scheme, p, n)
+                assert tree == reference
+                assert evaluate(tree, params) == evaluate(reference, params)
+                assert validate(tree).node_count == validate(reference).node_count
+
+    @pytest.mark.parametrize("scheme", SHARED_SCHEMES)
+    def test_round_trip_and_collapse(self, scheme):
+        tree, _, _ = shared_and_unshared(scheme, 0.03, 5)
+        assert tree_from_dict(tree_to_dict(tree)) == tree
+        assert collapse_deterministic(tree) == tree
+        wrapped = Internal((Branch(1.0, tree),))
+        collapsed = collapse_deterministic(wrapped)
+        assert collapsed == tree
+        assert evaluate(collapsed, P) == evaluate(tree, P)

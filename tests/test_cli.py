@@ -110,6 +110,14 @@ class TestEval:
         row = dict(zip(header, rows[0]))
         assert float(row["utility"]) == pytest.approx(1.00001993988, rel=1e-9)
 
+    def test_large_payoffs_unscaled_overflow_exits_2(self, capsys):
+        code, out, err = run(
+            capsys, ["eval", "--scheme", "gamble", "--hi", "1e5", "--lo", "0", "--p", "1e-5"]
+        )
+        assert code == 2 and out == ""
+        assert err.startswith("error:") and err.count("\n") == 1
+        assert "--scaling full" in err and "partial:<gamma>" in err
+
     def test_missing_flag_is_validation_failure(self, capsys):
         code, _, err = run(capsys, ["eval", "--scheme", "hazard", "--p", "0.03"])
         assert code == 2

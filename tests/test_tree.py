@@ -292,6 +292,20 @@ class TestFileFormat:
             ({"branches": []}, "non-empty"),
             ({"branches": [{"p": 0.5}]}, "node"),
             ({"branches": [{"p": 1.0, "node": {"payoff": 0.0}}], "weight": "w"}, "weight"),
+            (
+                {"branches": [{"p": 1.0, "node": {"payoff": 0.0}}], "wieght": 10},
+                "^root: unknown key 'wieght'",
+            ),
+            (
+                {"branches": [{"p": 1.0, "node": {"payoff": 0.0}, "weight": 10}]},
+                r"^root\.branches\[0\]: unknown key 'weight'",
+            ),
+            ({"payoff": 1.0, "weight": 2.0}, "^root: unknown key 'weight'"),
+            (
+                {"branches": [{"p": 1.0, "node": {"branches": [
+                    {"p": 1.0, "node": {"payoff": 0.0, "note": "x"}}]}}]},
+                r"^root\.branches\[0\]\.branches\[0\]: unknown key 'note'",
+            ),
         ],
     )
     def test_malformed_documents_rejected(self, obj, match):
