@@ -15,7 +15,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from enum import Enum
 from typing import Sequence
 
 from .closed_form import DualRiskSpec, DualScheme, TimingRiskSpec
@@ -89,27 +88,19 @@ def build_dual_scheme_b(spec: DualRiskSpec) -> ResolutionNode:
     return build_hazard_chain(spec.inflated_hazard(), int(spec.n))
 
 
-class ScenarioVariant(Enum):
-    """Named shapes for the open-ended sequential scenarios."""
-
-    PROCRASTINATION = "procrastination"
-    NEGOTIATION = "negotiation"
-
-
 @dataclass(frozen=True)
 class ScenarioSpec:
     """Sequential scenario over a fixed horizon.
 
     At step i the per-step event fires with probability
     step_probabilities[i] and ends the sequence at step_payoffs[i];
-    surviving every step ends at final_payoff.  For PROCRASTINATION the
+    surviving every step ends at final_payoff.  In procrastination the
     step event is completing the task (good payoffs, final_payoff the
-    missed deadline); for NEGOTIATION it is a breakdown (worsening
+    missed deadline); in a negotiation it is a breakdown (worsening
     losses, final_payoff the concluded agreement).  Payoffs are caller-
     supplied; the builder is purely structural.
     """
 
-    variant: ScenarioVariant
     step_probabilities: Sequence[float]
     step_payoffs: Sequence[float]
     final_payoff: float

@@ -7,9 +7,13 @@ newlines, UTF-8, floats printed with 12 significant digits):
     figure  a named data set over its standard grid -> CSV file
     sweep   one scheme over a parameter grid -> CSV on stdout
 
-Every number is produced by the same single-point evaluator (exhaustive
-tree evaluation after optional outcome scaling), so figure cells equal
-what ``eval`` prints for the matching point.  The only closed-form-only
+The built-in schemes live in one table, ``SCHEMES``: the point fields
+each builder reads (its required flags and its sweep targets), the
+builder, and the ratio column its sweeps add.  Every number is produced
+by the same single-point evaluator (exhaustive tree evaluation after
+optional outcome scaling), so figure cells equal what ``eval`` prints
+for the matching point; an unscaled sweep row hands its utility to its
+ratio instead of evaluating the tree again.  The only closed-form-only
 quantity is the fixed-delay comparison utility inside timing ratios,
 whose fractional delay has no tree.
 
@@ -21,7 +25,8 @@ from __future__ import annotations
 import argparse
 import math
 import sys
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
+from typing import Callable, NamedTuple
 
 from .builders import (
     build_binary_gamble,
@@ -42,7 +47,6 @@ from .core import ModelParams, Modulation, ValidationError
 from .scaling import NoScaling, FixedScale, ScalingMode, parse_scaling_mode, scaled_evaluation
 from .tree import ResolutionNode, load_tree
 
-SCHEMES = ("gamble", "hazard", "timing", "dual-a-after", "dual-a-before", "dual-b")
 FIGURES = (
     "fig1",
     "fig3-left",
@@ -54,7 +58,6 @@ FIGURES = (
     "figA2",
     "figA3",
 )
-SWEEP_TARGETS = ("p", "n", "p_tr", "p_pr", "k_tr")
 
 
 def fmt(value: float) -> str:
@@ -63,6 +66,13 @@ def fmt(value: float) -> str:
     if v == 0.0:
         v = 0.0  # normalize -0.0
     return format(v, ".12g")
+
+
+def whole(value: float, message: str) -> int:
+    """value as an int; ValidationError(message) unless finite and whole."""
+    if not (math.isfinite(value) and value == int(value)):
+        raise ValidationError(f"{message}, got {value!r}")
+    return int(value)
 
 
 def grid_points(start: float, stop: float, count: int) -> list[float]:
@@ -91,40 +101,54 @@ class SchemePoint:
     p_pr: float | None = None
     tree_path: str | None = None
 
-    def require(self, name: str) -> float:
-        value = getattr(self, name)
-        if value is None:
-            flag = "--" + name.replace("_", "-")
-            raise ValidationError(f"scheme {self.scheme!r} requires {flag}")
-        return value
+
+class Scheme(NamedTuple):
+    """A built-in scheme: the point fields its builder reads (its required
+    flags, in reporting order, and its sweep targets), the builder, and its
+    sweeps' extra column with ratio(point, params, k2_prob, unscaled utility or None)."""
+
+    fields: tuple[str, ...]
+    build: Callable[[SchemePoint], ResolutionNode]
+    column: str | None = None
+    ratio: Callable[..., float] | None = None
+
+
+def _dual(build: Callable[[DualRiskSpec], ResolutionNode], scheme: DualScheme) -> Scheme:
+    """A dual-risk entry: build a DualRiskSpec of the point under scheme."""
+    return Scheme(
+        ("p", "n", "p_pr"),
+        lambda pt: build(DualRiskSpec(pt.p, pt.n, pt.p_pr, scheme)),
+        "discount_ratio",
+        lambda pt, params, k2_prob, u: dual_ratio_point(pt, params, k2_prob, u_pt=u),
+    )
+
+
+# Entries call builders and ratio helpers by their module-level names at
+# call time, so rebinding those names (as a tracer does) reaches them.
+SCHEMES = {
+    "gamble": Scheme(("hi", "lo", "p"), lambda pt: build_binary_gamble(pt.hi, pt.lo, pt.p)),
+    "hazard": Scheme(("p", "n"), lambda pt: build_hazard_chain(pt.p, pt.n)),
+    "timing": Scheme(
+        ("p", "n", "p_tr", "k_tr"),
+        lambda pt: build_timing_risk(TimingRiskSpec(pt.p, pt.n, pt.p_tr, pt.k_tr)),
+        "timing_ratio",
+        lambda pt, params, k2_prob, u: timing_ratio_point(pt, params, u),
+    ),
+    "dual-a-after": _dual(lambda spec: build_dual_scheme_a(spec), DualScheme.SEPARATE_AFTER),
+    "dual-a-before": _dual(lambda spec: build_dual_scheme_a(spec), DualScheme.SEPARATE_BEFORE),
+    "dual-b": _dual(lambda spec: build_dual_scheme_b(spec), DualScheme.INCORPORATED),
+}
 
 
 def build_scheme_tree(point: SchemePoint) -> ResolutionNode:
-    s = point.scheme
-    if s == "gamble":
-        return build_binary_gamble(point.require("hi"), point.require("lo"), point.require("p"))
-    if s == "hazard":
-        return build_hazard_chain(point.require("p"), int(point.require("n")))
-    if s == "timing":
-        spec = TimingRiskSpec(
-            point.require("p"), int(point.require("n")), point.require("p_tr"), point.k_tr
-        )
-        return build_timing_risk(spec)
-    if s in ("dual-a-after", "dual-a-before"):
-        scheme = DualScheme.SEPARATE_AFTER if s == "dual-a-after" else DualScheme.SEPARATE_BEFORE
-        spec = DualRiskSpec(
-            point.require("p"), int(point.require("n")), point.require("p_pr"), scheme
-        )
-        return build_dual_scheme_a(spec)
-    if s == "dual-b":
-        spec = DualRiskSpec(
-            point.require("p"), int(point.require("n")), point.require("p_pr"),
-            DualScheme.INCORPORATED,
-        )
-        return build_dual_scheme_b(spec)
     if point.tree_path is not None:
         return load_tree(point.tree_path)
-    raise ValidationError(f"unknown scheme {s!r}")
+    scheme = SCHEMES[point.scheme]
+    for name in scheme.fields:
+        if getattr(point, name) is None:
+            flag = "--" + name.replace("_", "-")
+            raise ValidationError(f"scheme {point.scheme!r} requires {flag}")
+    return scheme.build(point)
 
 
 def evaluate_point(
@@ -135,13 +159,16 @@ def evaluate_point(
     return result.raw_expected_value, result.scaled.total_surprise, result.utility
 
 
-def timing_ratio_point(point: SchemePoint, params: ModelParams) -> float:
-    """Tree-based timing-lottery utility over the fixed-delay closed form."""
-    _, _, u_tr = evaluate_point(point, params, NoScaling())
-    spec = TimingRiskSpec(point.require("p"), int(point.require("n")), point.require("p_tr"),
-                          point.k_tr)
-    u_fix = discount_factor(HazardSpec(spec.p, mean_delay(spec)), params)
-    return u_tr / u_fix
+def timing_ratio_point(point: SchemePoint, params: ModelParams, u_tr: float | None = None) -> float:
+    """Tree-based timing-lottery utility over the fixed-delay closed form.
+
+    A caller that has already evaluated the point unscaled may pass its
+    utility ``u_tr``.
+    """
+    if u_tr is None:
+        u_tr = evaluate_point(point, params, NoScaling())[2]
+    spec = TimingRiskSpec(point.p, point.n, point.p_tr, point.k_tr)
+    return u_tr / discount_factor(HazardSpec(spec.p, mean_delay(spec)), params)
 
 
 def hazard_utility(p: float | None, n: int | None, params: ModelParams) -> float:
@@ -153,7 +180,7 @@ def gamble_utility(p_pr: float | None, params: ModelParams, k2_prob: float) -> f
     """U_p of the dual ratio: the unit gamble won with probability p_pr,
     at the probability-only gain k2_prob."""
     gamble = SchemePoint("gamble", hi=1.0, lo=0.0, p=p_pr)
-    return evaluate_point(gamble, params.with_k2(k2_prob), NoScaling())[2]
+    return evaluate_point(gamble, replace(params, k2=k2_prob), NoScaling())[2]
 
 
 def dual_ratio_point(
@@ -162,17 +189,20 @@ def dual_ratio_point(
     k2_prob: float,
     u_t: float | None = None,
     u_p: float | None = None,
+    u_pt: float | None = None,
 ) -> float:
     """Tree-based discount ratio U_pt / (U_p * U_t).
 
     Callers that share a denominator between points with the same p and
-    n (``u_t``) or p_pr (``u_p``) may pass it in.
+    n (``u_t``) or p_pr (``u_p``) may pass it in, and a caller that has
+    already evaluated the point unscaled may pass its utility ``u_pt``.
     """
     if u_t is None:
         u_t = hazard_utility(point.p, point.n, params)
     if u_p is None:
-        u_p = gamble_utility(point.require("p_pr"), params, k2_prob)
-    _, _, u_pt = evaluate_point(point, params, NoScaling())
+        u_p = gamble_utility(point.p_pr, params, k2_prob)
+    if u_pt is None:
+        u_pt = evaluate_point(point, params, NoScaling())[2]
     return u_pt / (u_p * u_t)
 
 
@@ -188,15 +218,13 @@ def cmd_eval(args: argparse.Namespace) -> int:
     mode = parse_scaling_mode(args.scaling)
     point = _point_from(args)
     u0, delta, util = evaluate_point(point, params, mode)
+    # k_tr has a default, so it is printed only for a scheme that reads it
+    reads_k_tr = point.scheme in SCHEMES and "k_tr" in SCHEMES[point.scheme].fields
+    flags = (point.p, point.n, point.hi, point.lo, point.p_tr,
+             point.k_tr if reads_k_tr else None, point.p_pr)
     cells = [
         point.scheme if point.tree_path is None else f"tree:{point.tree_path}",
-        "" if point.p is None else fmt(point.p),
-        "" if point.n is None else fmt(point.n),
-        "" if point.hi is None else fmt(point.hi),
-        "" if point.lo is None else fmt(point.lo),
-        "" if point.p_tr is None else fmt(point.p_tr),
-        fmt(point.k_tr) if point.scheme == "timing" else "",
-        "" if point.p_pr is None else fmt(point.p_pr),
+        *("" if value is None else fmt(value) for value in flags),
         fmt(params.k),
         fmt(params.alpha),
         fmt(params.k1),
@@ -214,6 +242,19 @@ def cmd_eval(args: argparse.Namespace) -> int:
 
 # --- figures ----------------------------------------------------------------
 
+#: Hazard-chain figures over n = 1..50: header, and the columns after n
+#: as a function of (n, surprise, utility).
+_HAZARD_FIGURES = {
+    "fig3-left": (["n", "surprise_magnitude", "linear_reference"],
+                  lambda n, delta, util: [abs(delta), 0.088 * n]),
+    "fig3-right": (["n", "discount_factor", "exponential", "hyperbolic"],
+                   lambda n, delta, util: [util, math.exp(-0.3 * n), 1.0 / (1.0 + 0.88 * n)]),
+    "figA1": (["n", "discount_factor", "exponential"],
+              lambda n, delta, util: [util, math.exp(-0.2 * n)]),
+}
+#: Parameters a figure command may override.
+FIGURE_OVERRIDES = ("k", "alpha", "k1", "k2", "p", "n", "k2_prob")
+
 
 def figure_rows(fig_id: str, overrides: dict | None = None) -> tuple[list[str], list[list[float]]]:
     """Header and value rows for one named figure data set.
@@ -221,113 +262,59 @@ def figure_rows(fig_id: str, overrides: dict | None = None) -> tuple[list[str], 
     Grid and parameter defaults follow the standard presentation of each
     data set; ``overrides`` may replace k, alpha, k1, k2, p, n, k2_prob.
     """
-    ov = overrides or {}
-
-    def pick(name: str, default: float) -> float:
-        value = ov.get(name)
-        return default if value is None else value
-
-    k = pick("k", 3.0)
-    alpha = pick("alpha", 1.6)
+    if fig_id not in FIGURES:
+        raise ValidationError(f"unknown figure id {fig_id!r}; expected one of {', '.join(FIGURES)}")
+    v = {"k": 3.0, "alpha": 1.6, "k1": 2.0, "p": 0.03, "n": 4,
+         "k2": 2.0 if fig_id in ("fig1", "figA1", "figA3") else 10.0,
+         "k2_prob": 2.0 if fig_id == "fig7" else 10.0}
+    v.update((name, value) for name, value in (overrides or {}).items() if value is not None)
+    modulation = Modulation.EXPONENTIAL_NEGATIVE if fig_id == "figA1" else Modulation.HYPERBOLIC
+    params = ModelParams(v["k"], v["alpha"], v["k1"], v["k2"], modulation)
+    p, n = v["p"], whole(v["n"], "--n must be a whole number")
+    rows = []
 
     if fig_id == "fig1":
-        params = ModelParams(k, alpha, pick("k1", 2.0), pick("k2", 2.0))
-        rows = []
-        for p in grid_points(0.01, 0.99, 99):
-            point = SchemePoint("gamble", hi=1.0, lo=0.0, p=p)
-            _, _, util = evaluate_point(point, params, NoScaling())
-            rows.append([p, util])
+        for x in grid_points(0.01, 0.99, 99):
+            point = SchemePoint("gamble", hi=1.0, lo=0.0, p=x)
+            rows.append([x, evaluate_point(point, params, NoScaling())[2]])
         return ["p", "utility"], rows
 
-    if fig_id in ("fig3-left", "fig3-right"):
-        p = pick("p", 0.03)
-        params = ModelParams(k, alpha, pick("k1", 2.0), pick("k2", 10.0))
-        rows = []
-        for n in range(1, 51):
-            point = SchemePoint("hazard", p=p, n=n)
+    if fig_id in _HAZARD_FIGURES:
+        header, columns = _HAZARD_FIGURES[fig_id]
+        for steps in range(1, 51):
+            point = SchemePoint("hazard", p=p, n=steps)
             _, delta, util = evaluate_point(point, params, NoScaling())
-            if fig_id == "fig3-left":
-                rows.append([float(n), abs(delta), 0.088 * n])
-            else:
-                rows.append([float(n), util, math.exp(-0.3 * n), 1.0 / (1.0 + 0.88 * n)])
-        if fig_id == "fig3-left":
-            return ["n", "surprise_magnitude", "linear_reference"], rows
-        return ["n", "discount_factor", "exponential", "hyperbolic"], rows
+            rows.append([float(steps), *columns(steps, delta, util)])
+        return header, rows
 
     if fig_id in ("fig5-left", "fig5-right"):
-        p = pick("p", 0.03)
-        params = ModelParams(k, alpha, pick("k1", 2.0), pick("k2", 10.0))
-        rows = []
-        if fig_id == "fig5-left":
-            xs = [float(n) for n in range(2, 13)]
-            for n in xs:
-                ratios = [
-                    timing_ratio_point(
-                        SchemePoint("timing", p=p, n=int(n), p_tr=0.5, k_tr=k_tr), params
-                    )
-                    for k_tr in (10.0, 0.0)
-                ]
-                rows.append([n, *ratios])
-            return ["n", "ratio_weighted", "ratio_unweighted"], rows
-        n = int(pick("n", 4))
-        for p_tr in grid_points(0.05, 0.95, 91):
-            ratios = [
-                timing_ratio_point(
-                    SchemePoint("timing", p=p, n=n, p_tr=p_tr, k_tr=k_tr), params
-                )
-                for k_tr in (10.0, 0.0)
-            ]
-            rows.append([p_tr, *ratios])
-        return ["p_tr", "ratio_weighted", "ratio_unweighted"], rows
+        # left: n = 2..12 at p_tr = 0.5; right: the p_tr grid at n
+        left = fig_id == "fig5-left"
+        xs = [float(m) for m in range(2, 13)] if left else grid_points(0.05, 0.95, 91)
+        for x in xs:
+            n_x, p_tr = (int(x), 0.5) if left else (n, x)
+            points = [SchemePoint("timing", p=p, n=n_x, p_tr=p_tr, k_tr=k_tr)
+                      for k_tr in (10.0, 0.0)]
+            rows.append([x, *(timing_ratio_point(point, params) for point in points)])
+        return ["n" if left else "p_tr", "ratio_weighted", "ratio_unweighted"], rows
 
     if fig_id in ("fig7", "figA2"):
-        p = pick("p", 0.03)
-        n = int(pick("n", 4))
-        params = ModelParams(k, alpha, pick("k1", 2.0), pick("k2", 10.0))
-        k2_prob = pick("k2_prob", 2.0 if fig_id == "fig7" else 10.0)
+        k2_prob = v["k2_prob"]
         xs = grid_points(0.3, 0.99, 70) if fig_id == "fig7" else grid_points(0.05, 0.99, 95)
         u_t = hazard_utility(p, n, params)
-        rows = []
         for p_pr in xs:
             u_p = gamble_utility(p_pr, params, k2_prob)
-            ratios = [
-                dual_ratio_point(SchemePoint(s, p=p, n=n, p_pr=p_pr), params, k2_prob, u_t, u_p)
-                for s in ("dual-a-after", "dual-a-before", "dual-b")
-            ]
-            rows.append([p_pr, *ratios])
+            points = [SchemePoint(s, p=p, n=n, p_pr=p_pr)
+                      for s in ("dual-a-after", "dual-a-before", "dual-b")]
+            rows.append([p_pr, *(dual_ratio_point(pt, params, k2_prob, u_t, u_p) for pt in points)])
         return ["p_pr", "ratio_separate_after", "ratio_separate_before", "ratio_incorporated"], rows
 
-    if fig_id == "figA1":
-        p = pick("p", 0.03)
-        params = ModelParams(
-            k, alpha, pick("k1", 2.0), pick("k2", 2.0),
-            modulation=Modulation.EXPONENTIAL_NEGATIVE,
-        )
-        rows = []
-        for n in range(1, 51):
-            point = SchemePoint("hazard", p=p, n=n)
-            _, _, util = evaluate_point(point, params, NoScaling())
-            rows.append([float(n), util, math.exp(-0.2 * n)])
-        return ["n", "discount_factor", "exponential"], rows
-
-    if fig_id == "figA3":
-        params = ModelParams(k, alpha, pick("k1", 2.0), pick("k2", 2.0))
-        rows = []
-        for p in grid_points(0.01, 0.5, 50):
-            point = SchemePoint("gamble", hi=1.0 / p, lo=0.0, p=p)
-            utils = [
-                evaluate_point(point, params, mode)[2]
-                for mode in (
-                    NoScaling(),
-                    # full range is [0, 1/p]; partial divides by (1/p)**(1/alpha)
-                    parse_scaling_mode("full"),
-                    FixedScale(p ** (-1.0 / params.alpha)),
-                )
-            ]
-            rows.append([p, *utils])
-        return ["p", "utility_unscaled", "utility_full", "utility_partial"], rows
-
-    raise ValidationError(f"unknown figure id {fig_id!r}; expected one of {', '.join(FIGURES)}")
+    # figA3: the full range is [0, 1/p]; partial divides by (1/p)**(1/alpha)
+    for x in grid_points(0.01, 0.5, 50):
+        point = SchemePoint("gamble", hi=1.0 / x, lo=0.0, p=x)
+        modes = (NoScaling(), parse_scaling_mode("full"), FixedScale(x ** (-1.0 / params.alpha)))
+        rows.append([x, *(evaluate_point(point, params, mode)[2] for mode in modes)])
+    return ["p", "utility_unscaled", "utility_full", "utility_partial"], rows
 
 
 def render_csv(header: list[str], rows: list[list[float]]) -> str:
@@ -336,35 +323,26 @@ def render_csv(header: list[str], rows: list[list[float]]) -> str:
     return "\n".join(lines) + "\n"
 
 
-def cmd_figure(args: argparse.Namespace) -> int:
-    overrides = {
-        name: getattr(args, name)
-        for name in ("k", "alpha", "k1", "k2", "p", "n", "k2_prob")
-    }
-    header, rows = figure_rows(args.id, overrides)
-    text = render_csv(header, rows)
-    out = args.out if args.out is not None else f"{args.id}.csv"
+def _write(text: str, out: str) -> None:
+    """Write text to the file out, or to stdout if out is '-'."""
     if out == "-":
         sys.stdout.write(text)
-        return 0
-    with open(out, "w", encoding="utf-8", newline="\n") as fh:
-        fh.write(text)
+    else:
+        with open(out, "w", encoding="utf-8", newline="\n") as fh:
+            fh.write(text)
+
+
+def cmd_figure(args: argparse.Namespace) -> int:
+    overrides = {name: getattr(args, name) for name in FIGURE_OVERRIDES}
+    header, rows = figure_rows(args.id, overrides)
+    _write(render_csv(header, rows), args.out if args.out is not None else f"{args.id}.csv")
     return 0
 
 
 # --- sweep ------------------------------------------------------------------
 
-_TARGET_SCHEMES = {
-    "p": {"gamble", "hazard", "timing", "dual-a-after", "dual-a-before", "dual-b"},
-    "n": {"hazard", "timing", "dual-a-after", "dual-a-before", "dual-b"},
-    "p_tr": {"timing"},
-    "p_pr": {"dual-a-after", "dual-a-before", "dual-b"},
-    "k_tr": {"timing"},
-}
-
 
 def sweep_rows(
-    scheme: str,
     target: str,
     values: list[float],
     fixed: SchemePoint,
@@ -372,33 +350,24 @@ def sweep_rows(
     mode: ScalingMode,
     k2_prob: float,
 ) -> tuple[list[str], list[list[float]]]:
-    if target not in _TARGET_SCHEMES:
-        raise ValidationError(f"unknown sweep target {target!r}")
-    if scheme not in _TARGET_SCHEMES[target]:
-        raise ValidationError(f"target {target!r} does not apply to scheme {scheme!r}")
+    """Header and rows of fixed's scheme with its field target set to each value."""
+    entry = SCHEMES.get(fixed.scheme)
+    if entry is None or target not in entry.fields:
+        raise ValidationError(f"target {target!r} does not apply to scheme {fixed.scheme!r}")
     header = [target, "u0", "delta", "utility"]
-    if scheme == "timing":
-        header.append("timing_ratio")
-    elif scheme.startswith("dual"):
-        header.append("discount_ratio")
+    if entry.column is not None:
+        header.append(entry.column)
+    # a ratio is made of unscaled utilities: reuse the row's only if unscaled
+    unscaled = isinstance(mode, NoScaling)
     rows = []
     for value in values:
-        point = SchemePoint(
-            scheme, p=fixed.p, n=fixed.n, hi=fixed.hi, lo=fixed.lo,
-            p_tr=fixed.p_tr, k_tr=fixed.k_tr, p_pr=fixed.p_pr,
-        )
         if target == "n":
-            if value != int(value):
-                raise ValidationError(f"n grid values must be whole numbers, got {value!r}")
-            point.n = int(value)
-        else:
-            setattr(point, target, value)
+            value = whole(value, "n grid values must be whole numbers")
+        point = replace(fixed, **{target: value})
         u0, delta, util = evaluate_point(point, params, mode)
         row = [value, u0, delta, util]
-        if scheme == "timing":
-            row.append(timing_ratio_point(point, params))
-        elif scheme.startswith("dual"):
-            row.append(dual_ratio_point(point, params, k2_prob))
+        if entry.ratio is not None:
+            row.append(entry.ratio(point, params, k2_prob, util if unscaled else None))
         rows.append(row)
     return header, rows
 
@@ -425,13 +394,8 @@ def cmd_sweep(args: argparse.Namespace) -> int:
     else:
         raise ValidationError("sweep requires --grid or --values")
     target = args.target.replace("-", "_")
-    header, rows = sweep_rows(fixed.scheme, target, values, fixed, params, mode, args.k2_prob)
-    text = render_csv(header, rows)
-    if args.out is None or args.out == "-":
-        sys.stdout.write(text)
-    else:
-        with open(args.out, "w", encoding="utf-8", newline="\n") as fh:
-            fh.write(text)
+    header, rows = sweep_rows(target, values, fixed, params, mode, args.k2_prob)
+    _write(render_csv(header, rows), "-" if args.out is None else args.out)
     return 0
 
 
@@ -461,11 +425,7 @@ def _point_from(args: argparse.Namespace) -> SchemePoint:
             f"unknown scheme {args.scheme!r}; expected one of "
             f"{', '.join(SCHEMES)} or tree:<path>"
         )
-    n = args.n
-    if n is not None:
-        if n != int(n):
-            raise ValidationError(f"--n must be a whole number, got {n!r}")
-        n = int(n)
+    n = None if args.n is None else whole(args.n, "--n must be a whole number")
     return SchemePoint(
         scheme, p=args.p, n=n, hi=args.hi, lo=args.lo,
         p_tr=args.p_tr, k_tr=args.k_tr, p_pr=args.p_pr, tree_path=tree_path,
@@ -491,9 +451,7 @@ def _add_model_flags(sub: argparse.ArgumentParser) -> None:
 
 
 def _add_scheme_flags(sub: argparse.ArgumentParser) -> None:
-    sub.add_argument("--scheme", required=True,
-                     help="gamble | hazard | timing | dual-a-after | dual-a-before"
-                          " | dual-b | tree:<path>")
+    sub.add_argument("--scheme", required=True, help=" | ".join([*SCHEMES, "tree:<path>"]))
     sub.add_argument("--p", type=float, help="per-step hazard (or gamble win) probability")
     sub.add_argument("--n", type=float, help="number of delay steps")
     sub.add_argument("--hi", type=float, help="gamble: high payoff")
@@ -520,13 +478,8 @@ def build_parser() -> argparse.ArgumentParser:
     p_fig = subs.add_parser("figure", help="emit a named figure data set as CSV")
     p_fig.add_argument("id", choices=FIGURES)
     p_fig.add_argument("--out", help="output path (default <id>.csv, '-' for stdout)")
-    p_fig.add_argument("--k", type=float)
-    p_fig.add_argument("--alpha", type=float)
-    p_fig.add_argument("--k1", type=float)
-    p_fig.add_argument("--k2", type=float)
-    p_fig.add_argument("--p", type=float)
-    p_fig.add_argument("--n", type=float)
-    p_fig.add_argument("--k2-prob", dest="k2_prob", type=float)
+    for name in FIGURE_OVERRIDES:
+        p_fig.add_argument("--" + name.replace("_", "-"), dest=name, type=float)
 
     p_sweep = subs.add_parser("sweep", help="sweep one parameter of a scheme")
     _add_scheme_flags(p_sweep)

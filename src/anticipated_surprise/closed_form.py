@@ -12,7 +12,7 @@ C = k*p - p**alpha * q**(1-alpha), positive unless p is large.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from enum import Enum
 
 from .core import ModelParams, ValidationError, utility
@@ -279,6 +279,6 @@ def discount_ratio(spec: DualRiskSpec, params: ModelParams) -> float:
     q = 1.0 - spec.p
     u_pt = utility(spec.p_pr * q**spec.n, dual_surprise(spec, params), params)
     u_t = discount_factor(HazardSpec(spec.p, spec.n), params)
-    p_params = params.with_k2(spec.k2_prob)
+    p_params = replace(params, k2=spec.k2_prob)
     u_p = utility(spec.p_pr, prob_only_surprise(spec.p_pr, p_params), p_params)
     return u_pt / (u_p * u_t)

@@ -18,7 +18,7 @@ Surprise values are plain floats throughout.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from enum import Enum
 
 
@@ -64,13 +64,6 @@ class ModelParams:
             raise ValidationError(f"alpha must be > 1, got {self.alpha}")
         if self.k1 < 0.0 or self.k2 < 0.0:
             raise ValidationError("k1 and k2 must be non-negative")
-
-    def with_k2(self, k2: float) -> "ModelParams":
-        """Copy with a different negative-surprise gain."""
-        return replace(self, k2=k2)
-
-    def with_modulation(self, modulation: Modulation) -> "ModelParams":
-        return replace(self, modulation=modulation)
 
 
 def surprise_kernel(z: float, params: ModelParams) -> float:

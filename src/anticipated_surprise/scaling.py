@@ -175,7 +175,7 @@ def scaled_evaluation(
     report = validate(node)
     transform = _transform_for(report.payoff_min, report.payoff_max, mode)
     surprises = tuple(_stage_surprises(node, report.conditional_values, params, transform.scale))
-    total = sum(surprises)
+    total = sum(surprises, 0.0)
     u0 = transform.apply(report.expected_value)
     scaled = EvaluationResult(u0, surprises, total, utility(u0, total, params))
     return ScaledEvaluation(

@@ -227,7 +227,7 @@ def evaluate(node: ResolutionNode, params: ModelParams) -> EvaluationResult:
     report = validate(node)
     surprises = _stage_surprises(node, report.conditional_values, params)
     u0 = report.expected_value
-    total = sum(surprises)
+    total = sum(surprises, 0.0)
     return EvaluationResult(
         expected_value=u0,
         stage_surprises=tuple(surprises),

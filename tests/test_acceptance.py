@@ -18,6 +18,7 @@ the exact computed values:
 
 import math
 import random
+from dataclasses import replace
 
 import pytest
 
@@ -139,7 +140,7 @@ def test_criterion_03_martingale():
 def test_criterion_04_decreasing_impatience():
     violations = []
     for mode in (Modulation.HYPERBOLIC, Modulation.EXPONENTIAL_NEGATIVE):
-        params = FIG3.with_modulation(mode)
+        params = replace(FIG3, modulation=mode)
         us = {n: discount_factor(HazardSpec(P_HAZARD, n), params) for n in range(1, 51)}
         for n in range(1, 31):
             for n1 in range(1, 11):

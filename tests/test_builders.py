@@ -9,7 +9,6 @@ from anticipated_surprise import (
     Internal,
     ModelParams,
     ScenarioSpec,
-    ScenarioVariant,
     Terminal,
     TimingRiskSpec,
     ValidationError,
@@ -142,7 +141,6 @@ class TestDualSchemes:
 class TestScenario:
     def test_single_step_is_binary_gamble(self):
         spec = ScenarioSpec(
-            ScenarioVariant.PROCRASTINATION,
             step_probabilities=[0.4],
             step_payoffs=[1.0],
             final_payoff=-2.0,
@@ -157,7 +155,6 @@ class TestScenario:
         # full scaling maps the two problems onto each other exactly
         loss, agreement, p, n = -2.0, 3.0, 0.1, 5
         spec = ScenarioSpec(
-            ScenarioVariant.NEGOTIATION,
             step_probabilities=[p] * n,
             step_payoffs=[loss] * n,
             final_payoff=agreement,
@@ -169,7 +166,6 @@ class TestScenario:
 
     def test_worsening_losses_hurt_most_at_the_end(self):
         spec = ScenarioSpec(
-            ScenarioVariant.NEGOTIATION,
             step_probabilities=[0.1] * 4,
             step_payoffs=[-0.5, -1.0, -2.0, -4.0],
             final_payoff=3.0,
@@ -180,13 +176,13 @@ class TestScenario:
 
     def test_validation(self):
         with pytest.raises(ValidationError, match="probabilities"):
-            ScenarioSpec(ScenarioVariant.NEGOTIATION, [0.1], [-1.0, -2.0], 1.0, 2)
+            ScenarioSpec([0.1], [-1.0, -2.0], 1.0, 2)
         with pytest.raises(ValidationError, match="payoffs"):
-            ScenarioSpec(ScenarioVariant.NEGOTIATION, [0.1, 0.2], [-1.0], 1.0, 2)
+            ScenarioSpec([0.1, 0.2], [-1.0], 1.0, 2)
         with pytest.raises(ValidationError, match="horizon"):
-            ScenarioSpec(ScenarioVariant.NEGOTIATION, [], [], 1.0, 0)
+            ScenarioSpec([], [], 1.0, 0)
         with pytest.raises(ValidationError):
-            ScenarioSpec(ScenarioVariant.NEGOTIATION, [1.5], [-1.0], 1.0, 1)
+            ScenarioSpec([1.5], [-1.0], 1.0, 1)
 
 
 class TestAllBuildersValidate:
@@ -199,7 +195,7 @@ class TestAllBuildersValidate:
             build_dual_scheme_a(DualRiskSpec(0.1, 3, 0.6, DualScheme.SEPARATE_BEFORE)),
             build_dual_scheme_b(DualRiskSpec(0.1, 3, 0.6, DualScheme.INCORPORATED)),
             build_scenario(
-                ScenarioSpec(ScenarioVariant.PROCRASTINATION, [0.2, 0.3], [1.0, 0.8], -1.0, 2)
+                ScenarioSpec([0.2, 0.3], [1.0, 0.8], -1.0, 2)
             ),
         ]
         for tree in trees:

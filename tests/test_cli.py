@@ -5,6 +5,7 @@ import pytest
 
 from anticipated_surprise import ModelParams
 from anticipated_surprise.cli import (
+    SCHEMES,
     SchemePoint,
     dual_ratio_point,
     evaluate_point,
@@ -122,6 +123,39 @@ class TestEval:
         code, _, err = run(capsys, ["eval", "--scheme", "hazard", "--p", "0.03"])
         assert code == 2
         assert "requires --n" in err
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["eval", "--scheme", "hazard", "--p", "0.03", "--n", "4.5"],
+            ["eval", "--scheme", "hazard", "--p", "0.03", "--n", "nan"],
+            ["eval", "--scheme", "hazard", "--p", "0.03", "--n", "inf"],
+            ["sweep", "--scheme", "hazard", "--p", "0.03", "--target", "n", "--values", "nan"],
+            ["sweep", "--scheme", "hazard", "--p", "0.03", "--target", "n", "--values", "1e400"],
+            ["figure", "fig5-right", "--n", "4.5", "--out", "-"],
+            ["figure", "fig7", "--n", "nan", "--out", "-"],
+        ],
+    )
+    def test_non_whole_n_is_validation_failure(self, capsys, argv):
+        code, out, err = run(capsys, argv)
+        assert code == 2 and out == ""
+        assert err.startswith("error:") and err.count("\n") == 1
+        assert "whole number" in err
+
+    @pytest.mark.parametrize(
+        "scheme,field",
+        [(name, field) for name, entry in SCHEMES.items() for field in entry.fields
+         if field != "k_tr"],
+    )
+    def test_each_required_flag_is_reported(self, capsys, scheme, field):
+        values = {"p": "0.03", "n": "4", "hi": "1", "lo": "0", "p_tr": "0.5", "p_pr": "0.7"}
+        argv = ["eval", "--scheme", scheme]
+        for name in SCHEMES[scheme].fields:
+            if name not in (field, "k_tr"):
+                argv += ["--" + name.replace("_", "-"), values[name]]
+        code, _, err = run(capsys, argv)
+        assert code == 2
+        assert err == f"error: scheme {scheme!r} requires --{field.replace('_', '-')}\n"
 
     def test_bad_probability_is_validation_failure(self, capsys):
         code, _, err = run(capsys, ["eval", "--scheme", "hazard", "--p", "1.5", "--n", "4"])
@@ -378,6 +412,33 @@ class TestHelpers:
             monkeypatch.setattr(module, "validate", counting)
         evaluate_point(point, ModelParams(), parse_scaling_mode(mode))
         assert len(calls) == 1
+
+    @pytest.mark.parametrize(
+        "argv,walks",
+        [
+            (["--scheme", "timing", "--p-tr", "0.5", "--k-tr", "10"], 5),
+            (["--scheme", "dual-a-after", "--p-pr", "0.7"], 15),
+            # scaled rows are no use to the unscaled ratio: it walks its own tree
+            (["--scheme", "timing", "--p-tr", "0.5", "--scaling", "full"], 10),
+            (["--scheme", "dual-a-after", "--p-pr", "0.7", "--scaling", "partial:0.5"], 20),
+        ],
+    )
+    def test_sweep_walks_each_tree_once_per_row(self, monkeypatch, capsys, argv, walks):
+        from anticipated_surprise import scaling, tree
+
+        calls = []
+        original = tree.validate
+
+        def counting(node):
+            calls.append(node)
+            return original(node)
+
+        for module in (tree, scaling):
+            monkeypatch.setattr(module, "validate", counting)
+        code, out, _ = run(capsys, ["sweep", *argv, "--p", "0.03", "--target", "n",
+                                    "--values", "2,3,4,5,6"])
+        assert code == 0 and len(out.strip().split("\n")) == 6
+        assert len(calls) == walks
 
     def test_evaluate_point_u0_is_raw(self):
         point = SchemePoint("gamble", hi=10.0, lo=-10.0, p=0.5)

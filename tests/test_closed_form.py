@@ -1,4 +1,5 @@
 import math
+from dataclasses import replace
 
 import pytest
 
@@ -322,7 +323,7 @@ class TestDiscountRatio:
 class TestDecreasingImpatience:
     @pytest.mark.parametrize("mode", [Modulation.HYPERBOLIC, Modulation.EXPONENTIAL_NEGATIVE])
     def test_added_delay_softens_relative_discount(self, mode):
-        params = P10.with_modulation(mode)
+        params = replace(P10, modulation=mode)
         us = {n: discount_factor(HazardSpec(0.03, n), params) for n in range(1, 51)}
         for n in range(1, 31):
             for n1 in range(1, 11):

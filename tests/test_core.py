@@ -1,4 +1,5 @@
 import math
+from dataclasses import replace
 
 import pytest
 
@@ -36,9 +37,11 @@ class TestParams:
         with pytest.raises(ValidationError):
             ModelParams(**kwargs)
 
-    def test_with_k2_copies(self):
-        q = P.with_k2(10.0)
+    def test_replace_copies_and_validates(self):
+        q = replace(P, k2=10.0)
         assert q.k2 == 10.0 and P.k2 == 2.0 and q.k == P.k
+        with pytest.raises(ValidationError):
+            replace(P, k2=-1.0)
 
 
 class TestKernel:
@@ -83,7 +86,8 @@ class TestKernel:
 class TestModulation:
     def test_one_at_zero_both_modes(self):
         assert surprise_modulation(0.0, P) == 1.0
-        assert surprise_modulation(0.0, P.with_modulation(Modulation.EXPONENTIAL_NEGATIVE)) == 1.0
+        q = replace(P, modulation=Modulation.EXPONENTIAL_NEGATIVE)
+        assert surprise_modulation(0.0, q) == 1.0
 
     def test_hyperbolic_negative_branch(self):
         assert surprise_modulation(-0.32987697769322355, P) == pytest.approx(
@@ -91,26 +95,26 @@ class TestModulation:
         )
 
     def test_exponential_negative_branch(self):
-        q = P.with_modulation(Modulation.EXPONENTIAL_NEGATIVE)
+        q = replace(P, modulation=Modulation.EXPONENTIAL_NEGATIVE)
         assert surprise_modulation(-0.32987697769322355, q) == pytest.approx(
             0.5169785186244024, abs=1e-12
         )
 
     def test_continuous_at_kink(self):
         eps = 1e-12
-        for params in (P, P.with_modulation(Modulation.EXPONENTIAL_NEGATIVE)):
+        for params in (P, replace(P, modulation=Modulation.EXPONENTIAL_NEGATIVE)):
             assert surprise_modulation(-eps, params) == pytest.approx(1.0, abs=1e-10)
             assert surprise_modulation(eps, params) == pytest.approx(1.0, abs=1e-10)
 
     def test_positive_and_increasing(self):
-        for params in (P, P.with_modulation(Modulation.EXPONENTIAL_NEGATIVE)):
+        for params in (P, replace(P, modulation=Modulation.EXPONENTIAL_NEGATIVE)):
             deltas = [-5.0 + i * 0.01 for i in range(1001)]
             vals = [surprise_modulation(d, params) for d in deltas]
             assert all(v > 0.0 for v in vals)
             assert all(a < b for a, b in zip(vals, vals[1:]))
 
     def test_hyperbolic_dominates_exponential_below_zero(self):
-        q = P.with_modulation(Modulation.EXPONENTIAL_NEGATIVE)
+        q = replace(P, modulation=Modulation.EXPONENTIAL_NEGATIVE)
         for i in range(1, 500):
             d = -i * 0.02
             assert surprise_modulation(d, P) >= surprise_modulation(d, q)

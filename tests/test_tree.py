@@ -20,6 +20,7 @@ from anticipated_surprise import (
     tree_to_dict,
     validate,
 )
+from anticipated_surprise.scaling import NoScaling, scaled_evaluation
 from conftest import random_tree, trajectory_stage_surprises
 
 P = ModelParams()
@@ -136,6 +137,9 @@ class TestStageSurprises:
         result = evaluate(Terminal(0.7), P)
         assert result.total_surprise == 0.0
         assert result.utility == 0.7
+        scaled = scaled_evaluation(Terminal(0.7), P, NoScaling()).scaled
+        assert isinstance(result.total_surprise, float)
+        assert isinstance(scaled.total_surprise, float)
 
     def test_single_stage_matches_direct_expectation(self):
         # one stage reduces to E(delta(x - E(x)))
