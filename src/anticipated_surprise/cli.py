@@ -7,17 +7,18 @@ newlines, UTF-8, floats printed with 12 significant digits):
     figure  a named data set over its standard grid -> CSV file
     sweep   one scheme over a parameter grid -> CSV on stdout
 
-The built-in schemes live in one table, ``SCHEMES``: the point fields
-each builder reads (its required flags and its sweep targets), the
-builder, and the ratio column its sweeps add.  Every number is produced
-by the same single-point evaluator (exhaustive tree evaluation after
-optional outcome scaling), so figure cells equal what ``eval`` prints
-for the matching point; an unscaled sweep row hands its utility to its
-ratio instead of evaluating the tree again.  The only closed-form-only
-quantity is the fixed-delay comparison utility inside timing ratios,
-whose fractional delay has no tree.
+The flags derive from ``ModelParams`` (model flags, defaults),
+``SchemePoint`` (point flags, their help, ``eval``'s point columns),
+``SCHEMES`` (what each scheme reads: required flags, sweep targets) and
+``FIGURES`` (what each figure reads, at its defaults); an unread flag exits 2.
+Every number is produced by the same single-point evaluator (exhaustive
+tree evaluation after optional outcome scaling), so figure cells equal
+what ``eval`` prints for the matching point; an unscaled sweep row hands
+its utility to its ratio instead of evaluating the tree again.  The only
+closed-form-only quantity is the fixed-delay comparison utility inside
+timing ratios, whose fractional delay has no tree.
 
-Exit codes: 0 ok, 1 i/o failure, 2 validation failure or numeric overflow.
+Exit codes: 0 ok, 1 i/o failure, 2 validation failure, overflow or undefined ratio.
 """
 
 from __future__ import annotations
@@ -25,7 +26,7 @@ from __future__ import annotations
 import argparse
 import math
 import sys
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, field, fields, replace
 from typing import Callable, NamedTuple
 
 from .builders import (
@@ -46,18 +47,6 @@ from .closed_form import (
 from .core import ModelParams, Modulation, ValidationError
 from .scaling import NoScaling, FixedScale, ScalingMode, parse_scaling_mode, scaled_evaluation
 from .tree import ResolutionNode, load_tree
-
-FIGURES = (
-    "fig1",
-    "fig3-left",
-    "fig3-right",
-    "fig5-left",
-    "fig5-right",
-    "fig7",
-    "figA1",
-    "figA2",
-    "figA3",
-)
 
 
 def fmt(value: float) -> str:
@@ -87,25 +76,38 @@ def grid_points(start: float, stop: float, count: int) -> list[float]:
     return pts
 
 
+def flag(name: str) -> str:
+    """The command-line flag of a parameter: p_tr -> --p-tr."""
+    return "--" + name.replace("_", "-")
+
+
+def _flag_field(text: str, default: float | None = None):
+    """A point field that is also an eval and sweep flag with help text."""
+    return field(default=default, metadata={"help": text})
+
+
 @dataclass
 class SchemePoint:
-    """One scheme at one parameter point."""
+    """One scheme at one parameter point; its ``_flag_field`` fields are the point flags."""
 
     scheme: str
-    p: float | None = None
-    n: int | None = None
-    hi: float | None = None
-    lo: float | None = None
-    p_tr: float | None = None
-    k_tr: float = 1.0
-    p_pr: float | None = None
+    p: float | None = _flag_field("per-step hazard (or gamble win) probability")
+    n: int | None = _flag_field("number of delay steps")
+    hi: float | None = _flag_field("gamble: high payoff")
+    lo: float | None = _flag_field("gamble: low payoff")
+    p_tr: float | None = _flag_field("timing: early-delivery probability")
+    k_tr: float = _flag_field("timing: weight on the reveal stage", 1.0)
+    p_pr: float | None = _flag_field("dual: success probability")
     tree_path: str | None = None
 
 
+POINT_FIELDS = tuple(f.name for f in fields(SchemePoint) if "help" in f.metadata)
+
+
 class Scheme(NamedTuple):
-    """A built-in scheme: the point fields its builder reads (its required
-    flags, in reporting order, and its sweep targets), the builder, and its
-    sweeps' extra column with ratio(point, params, k2_prob, unscaled utility or None)."""
+    """A built-in scheme: the point fields it reads (its required flags, in
+    reporting order, its sweep targets and the only point flags it takes),
+    the builder, and its sweeps' column with ratio(point, params, k2_prob, u or None)."""
 
     fields: tuple[str, ...]
     build: Callable[[SchemePoint], ResolutionNode]
@@ -140,15 +142,18 @@ SCHEMES = {
 }
 
 
+def reads(point: SchemePoint) -> tuple[str, ...]:
+    """The point fields that point's scheme reads; a tree file reads none."""
+    return () if point.tree_path is not None else SCHEMES[point.scheme].fields
+
+
 def build_scheme_tree(point: SchemePoint) -> ResolutionNode:
     if point.tree_path is not None:
         return load_tree(point.tree_path)
-    scheme = SCHEMES[point.scheme]
-    for name in scheme.fields:
+    for name in reads(point):
         if getattr(point, name) is None:
-            flag = "--" + name.replace("_", "-")
-            raise ValidationError(f"scheme {point.scheme!r} requires {flag}")
-    return scheme.build(point)
+            raise ValidationError(f"scheme {point.scheme!r} requires {flag(name)}")
+    return SCHEMES[point.scheme].build(point)
 
 
 def evaluate_point(
@@ -157,6 +162,14 @@ def evaluate_point(
     """(raw expected value, surprise of the scaled tree, final utility)."""
     result = scaled_evaluation(build_scheme_tree(point), params, mode)
     return result.raw_expected_value, result.scaled.total_surprise, result.utility
+
+
+def _ratio(utility: float, reference: float, point: SchemePoint) -> float:
+    """utility / reference; ValidationError if the reference underflowed to 0."""
+    if reference == 0.0:
+        raise ValidationError(f"ratio undefined at p={point.p!r}, n={point.n!r}: "
+                              "its reference utility underflows to 0")
+    return utility / reference
 
 
 def timing_ratio_point(point: SchemePoint, params: ModelParams, u_tr: float | None = None) -> float:
@@ -168,7 +181,7 @@ def timing_ratio_point(point: SchemePoint, params: ModelParams, u_tr: float | No
     if u_tr is None:
         u_tr = evaluate_point(point, params, NoScaling())[2]
     spec = TimingRiskSpec(point.p, point.n, point.p_tr, point.k_tr)
-    return u_tr / discount_factor(HazardSpec(spec.p, mean_delay(spec)), params)
+    return _ratio(u_tr, discount_factor(HazardSpec(spec.p, mean_delay(spec)), params), point)
 
 
 def hazard_utility(p: float | None, n: int | None, params: ModelParams) -> float:
@@ -203,14 +216,10 @@ def dual_ratio_point(
         u_p = gamble_utility(point.p_pr, params, k2_prob)
     if u_pt is None:
         u_pt = evaluate_point(point, params, NoScaling())[2]
-    return u_pt / (u_p * u_t)
+    return _ratio(u_pt, u_p * u_t, point)
 
 
 # --- eval -------------------------------------------------------------------
-
-EVAL_HEADER = (
-    "scheme,p,n,hi,lo,p_tr,k_tr,p_pr,k,alpha,k1,k2,modulation,scaling,u0,delta,utility"
-)
 
 
 def cmd_eval(args: argparse.Namespace) -> int:
@@ -218,25 +227,16 @@ def cmd_eval(args: argparse.Namespace) -> int:
     mode = parse_scaling_mode(args.scaling)
     point = _point_from(args)
     u0, delta, util = evaluate_point(point, params, mode)
-    # k_tr has a default, so it is printed only for a scheme that reads it
-    reads_k_tr = point.scheme in SCHEMES and "k_tr" in SCHEMES[point.scheme].fields
-    flags = (point.p, point.n, point.hi, point.lo, point.p_tr,
-             point.k_tr if reads_k_tr else None, point.p_pr)
-    cells = [
-        point.scheme if point.tree_path is None else f"tree:{point.tree_path}",
-        *("" if value is None else fmt(value) for value in flags),
-        fmt(params.k),
-        fmt(params.alpha),
-        fmt(params.k1),
-        fmt(params.k2),
-        params.modulation.value,
-        args.scaling,
-        fmt(u0),
-        fmt(delta),
-        fmt(util),
-    ]
-    print(EVAL_HEADER)
-    print(",".join(cells))
+    read = reads(point)
+    row = {
+        "scheme": args.scheme,
+        **{name: fmt(getattr(point, name)) if name in read else "" for name in POINT_FIELDS},
+        **{name: value.value if isinstance(value, Modulation) else fmt(value)
+           for name, value in vars(params).items()},
+        "scaling": args.scaling, "u0": fmt(u0), "delta": fmt(delta), "utility": fmt(util),
+    }
+    print(",".join(row))
+    print(",".join(row.values()))
     return 0
 
 
@@ -252,25 +252,49 @@ _HAZARD_FIGURES = {
     "figA1": (["n", "discount_factor", "exponential"],
               lambda n, delta, util: [util, math.exp(-0.2 * n)]),
 }
-#: Parameters a figure command may override.
-FIGURE_OVERRIDES = ("k", "alpha", "k1", "k2", "p", "n", "k2_prob")
+
+
+def _figure(**defaults) -> dict:
+    """A figure's parameters: the model's at their defaults, updated by defaults."""
+    return {**vars(ModelParams()), **defaults}
+
+
+#: Each figure id, in presentation order, and the parameters it reads at
+#: their defaults; its grid and columns are code in figure_rows.
+FIGURES = {
+    "fig1": _figure(),
+    "fig3-left": _figure(k2=10.0, p=0.03),
+    "fig3-right": _figure(k2=10.0, p=0.03),
+    "fig5-left": _figure(k2=10.0, p=0.03),
+    "fig5-right": _figure(k2=10.0, p=0.03, n=4),
+    "fig7": _figure(k2=10.0, p=0.03, n=4, k2_prob=2.0),
+    "figA1": _figure(modulation=Modulation.EXPONENTIAL_NEGATIVE, p=0.03),
+    "figA2": _figure(k2=10.0, p=0.03, n=4, k2_prob=10.0),
+    "figA3": _figure(),
+}
+#: The figure command's flags: every number some figure reads.
+FIGURE_FLAGS = tuple(dict.fromkeys(name for defaults in FIGURES.values() for name, value
+                                   in defaults.items() if not isinstance(value, Modulation)))
 
 
 def figure_rows(fig_id: str, overrides: dict | None = None) -> tuple[list[str], list[list[float]]]:
     """Header and value rows for one named figure data set.
 
     Grid and parameter defaults follow the standard presentation of each
-    data set; ``overrides`` may replace k, alpha, k1, k2, p, n, k2_prob.
+    data set; ``overrides`` may replace the parameters the figure reads,
+    its ``FIGURES`` entry, and no other (None values are ignored).
     """
     if fig_id not in FIGURES:
         raise ValidationError(f"unknown figure id {fig_id!r}; expected one of {', '.join(FIGURES)}")
-    v = {"k": 3.0, "alpha": 1.6, "k1": 2.0, "p": 0.03, "n": 4,
-         "k2": 2.0 if fig_id in ("fig1", "figA1", "figA3") else 10.0,
-         "k2_prob": 2.0 if fig_id == "fig7" else 10.0}
-    v.update((name, value) for name, value in (overrides or {}).items() if value is not None)
-    modulation = Modulation.EXPONENTIAL_NEGATIVE if fig_id == "figA1" else Modulation.HYPERBOLIC
-    params = ModelParams(v["k"], v["alpha"], v["k1"], v["k2"], modulation)
-    p, n = v["p"], whole(v["n"], "--n must be a whole number")
+    given = {name: value for name, value in (overrides or {}).items() if value is not None}
+    unread = [flag(name) for name in given if name not in FIGURES[fig_id]]
+    if unread:
+        raise ValidationError(f"figure {fig_id!r} does not read {', '.join(unread)}")
+    v = {**FIGURES[fig_id], **given}
+    params = ModelParams(**{f.name: v[f.name] for f in fields(ModelParams)})
+    p, n = v.get("p"), v.get("n")
+    if n is not None:
+        n = whole(n, "--n must be a whole number")
     rows = []
 
     if fig_id == "fig1":
@@ -333,7 +357,7 @@ def _write(text: str, out: str) -> None:
 
 
 def cmd_figure(args: argparse.Namespace) -> int:
-    overrides = {name: getattr(args, name) for name in FIGURE_OVERRIDES}
+    overrides = {name: getattr(args, name) for name in FIGURE_FLAGS}
     header, rows = figure_rows(args.id, overrides)
     _write(render_csv(header, rows), args.out if args.out is not None else f"{args.id}.csv")
     return 0
@@ -403,13 +427,8 @@ def cmd_sweep(args: argparse.Namespace) -> int:
 
 
 def _params_from(args: argparse.Namespace) -> ModelParams:
-    return ModelParams(
-        k=args.k,
-        alpha=args.alpha,
-        k1=args.k1,
-        k2=args.k2,
-        modulation=Modulation(args.modulation),
-    )
+    values = {f.name: getattr(args, f.name) for f in fields(ModelParams)}
+    return ModelParams(**{**values, "modulation": Modulation(args.modulation)})
 
 
 def _point_from(args: argparse.Namespace) -> SchemePoint:
@@ -425,24 +444,25 @@ def _point_from(args: argparse.Namespace) -> SchemePoint:
             f"unknown scheme {args.scheme!r}; expected one of "
             f"{', '.join(SCHEMES)} or tree:<path>"
         )
-    n = None if args.n is None else whole(args.n, "--n must be a whole number")
-    return SchemePoint(
-        scheme, p=args.p, n=n, hi=args.hi, lo=args.lo,
-        p_tr=args.p_tr, k_tr=args.k_tr, p_pr=args.p_pr, tree_path=tree_path,
-    )
+    given = {name: value for name in POINT_FIELDS if (value := getattr(args, name)) is not None}
+    point = SchemePoint(scheme, tree_path=tree_path, **given)
+    unread = [flag(name) for name in given if name not in reads(point)]
+    if unread:
+        raise ValidationError(f"scheme {args.scheme!r} does not read {', '.join(unread)}")
+    if point.n is not None:
+        point.n = whole(point.n, "--n must be a whole number")
+    return point
 
 
 def _add_model_flags(sub: argparse.ArgumentParser) -> None:
-    sub.add_argument("--k", type=float, default=3.0, help="loss weight, > 1")
-    sub.add_argument("--alpha", type=float, default=1.6, help="kernel convexity, > 1")
-    sub.add_argument("--k1", type=float, default=2.0, help="positive-surprise gain")
-    sub.add_argument("--k2", type=float, default=2.0, help="negative-surprise gain")
-    sub.add_argument(
-        "--modulation",
-        choices=[m.value for m in Modulation],
-        default=Modulation.HYPERBOLIC.value,
-        help="negative-surprise correction shape",
-    )
+    """A flag per ModelParams field, at its default, with help from its docstring."""
+    docs = dict(line.strip().partition(":")[::2] for line in (ModelParams.__doc__ or "").splitlines())
+    for f in fields(ModelParams):
+        if isinstance(f.default, Modulation):
+            kind = {"choices": [m.value for m in Modulation], "default": f.default.value}
+        else:
+            kind = {"type": float, "default": f.default}
+        sub.add_argument("--" + f.name, help=docs.get(f.name, "").strip(), **kind)
     sub.add_argument(
         "--scaling",
         default="none",
@@ -452,16 +472,10 @@ def _add_model_flags(sub: argparse.ArgumentParser) -> None:
 
 def _add_scheme_flags(sub: argparse.ArgumentParser) -> None:
     sub.add_argument("--scheme", required=True, help=" | ".join([*SCHEMES, "tree:<path>"]))
-    sub.add_argument("--p", type=float, help="per-step hazard (or gamble win) probability")
-    sub.add_argument("--n", type=float, help="number of delay steps")
-    sub.add_argument("--hi", type=float, help="gamble: high payoff")
-    sub.add_argument("--lo", type=float, help="gamble: low payoff")
-    sub.add_argument("--p-tr", dest="p_tr", type=float, help="timing: early-delivery probability")
-    sub.add_argument("--k-tr", dest="k_tr", type=float, default=1.0,
-                     help="timing: weight on the reveal stage (default 1)")
-    sub.add_argument("--p-pr", dest="p_pr", type=float, help="dual: success probability")
-    sub.add_argument("--k2-prob", dest="k2_prob", type=float, default=2.0,
-                     help="negative-surprise gain for the probability-only comparison")
+    for f in fields(SchemePoint):
+        if "help" in f.metadata:
+            default = "" if f.default is None else f" (default {fmt(f.default)})"
+            sub.add_argument(flag(f.name), dest=f.name, type=float, help=f.metadata["help"] + default)
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -478,15 +492,15 @@ def build_parser() -> argparse.ArgumentParser:
     p_fig = subs.add_parser("figure", help="emit a named figure data set as CSV")
     p_fig.add_argument("id", choices=FIGURES)
     p_fig.add_argument("--out", help="output path (default <id>.csv, '-' for stdout)")
-    for name in FIGURE_OVERRIDES:
-        p_fig.add_argument("--" + name.replace("_", "-"), dest=name, type=float)
+    for name in FIGURE_FLAGS:
+        p_fig.add_argument(flag(name), dest=name, type=float)
 
     p_sweep = subs.add_parser("sweep", help="sweep one parameter of a scheme")
     _add_scheme_flags(p_sweep)
     _add_model_flags(p_sweep)
-    p_sweep.add_argument("--target", required=True,
-                         choices=["p", "n", "p-tr", "p-pr", "k-tr"],
-                         help="parameter to sweep")
+    p_sweep.add_argument("--target", required=True, help="point flag of the scheme to sweep")
+    p_sweep.add_argument("--k2-prob", dest="k2_prob", type=float, default=DualRiskSpec.k2_prob,
+                         help="dual: negative-surprise gain for the probability-only comparison")
     p_sweep.add_argument("--grid", help="start:stop:count")
     p_sweep.add_argument("--values", help="comma-separated explicit values")
     p_sweep.add_argument("--out", help="output path (default stdout)")

@@ -22,7 +22,7 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass, field
 from math import inf, isfinite
-from typing import Union
+from typing import Callable, Union
 
 from .core import ModelParams, ValidationError, surprise_kernel, utility
 
@@ -244,20 +244,36 @@ def collapse_deterministic(node: ResolutionNode) -> ResolutionNode:
     result unchanged.
     """
     validate(node)
-    return _collapse(node)
+    return _fold(node, lambda leaf: leaf, _collapsed)
 
 
-def _collapse(node: ResolutionNode) -> ResolutionNode:
-    if isinstance(node, Terminal):
-        return node
-    if len(node.branches) == 1:
-        return _collapse(node.branches[0].child)
-    return Internal(
-        branches=tuple(
-            Branch(br.probability, _collapse(br.child)) for br in node.branches
-        ),
-        surprise_weight=node.surprise_weight,
-    )
+def _collapsed(node: Internal, children: list) -> ResolutionNode:
+    if len(children) == 1:
+        return children[0]
+    branches = tuple(Branch(br.probability, c) for br, c in zip(node.branches, children))
+    return Internal(branches, node.surprise_weight)
+
+
+def _fold(node: ResolutionNode, leaf: Callable, internal: Callable):
+    """Fold a tree bottom-up without recursion: ``leaf(terminal)`` for a
+    terminal, ``internal(node, results of its children in branch order)``
+    for an internal node.  A node reached by several paths is folded once
+    per path, so each occurrence gets its own result."""
+    done: list = []
+    stack: list = [(node, False)]
+    while stack:
+        nd, post = stack.pop()
+        if isinstance(nd, Terminal):
+            done.append(leaf(nd))
+        elif post:
+            first = len(done) - len(nd.branches)
+            children = done[first:]
+            del done[first:]
+            done.append(internal(nd, children))
+        else:
+            stack.append((nd, True))
+            stack.extend((br.child, False) for br in reversed(nd.branches))
+    return done[0]
 
 
 # ---------------------------------------------------------------------------
@@ -308,13 +324,12 @@ def _unknown_keys(obj: dict, allowed: tuple[str, ...], path: str) -> ValidationE
 
 
 def tree_to_dict(node: ResolutionNode) -> dict:
-    if isinstance(node, Terminal):
-        return {"payoff": node.payoff}
-    out: dict = {
-        "branches": [
-            {"p": br.probability, "node": tree_to_dict(br.child)} for br in node.branches
-        ]
-    }
+    return _fold(node, lambda leaf: {"payoff": leaf.payoff}, _node_dict)
+
+
+def _node_dict(node: Internal, children: list) -> dict:
+    out: dict = {"branches": [{"p": br.probability, "node": c}
+                              for br, c in zip(node.branches, children)]}
     if node.surprise_weight != 1.0:
         out["weight"] = node.surprise_weight
     return out

@@ -5,11 +5,17 @@ import pytest
 
 from anticipated_surprise import ModelParams
 from anticipated_surprise.cli import (
+    FIGURE_FLAGS,
+    FIGURES,
+    POINT_FIELDS,
     SCHEMES,
     SchemePoint,
+    _params_from,
+    build_parser,
     dual_ratio_point,
     evaluate_point,
     figure_rows,
+    flag,
     fmt,
     grid_points,
     main,
@@ -366,6 +372,119 @@ class TestSweep:
         _, out1, _ = run(capsys, argv)
         _, out2, _ = run(capsys, argv)
         assert out1 == out2
+
+
+#: A valid value for each point flag and for --k2-prob.
+VALUES = {"p": "0.03", "n": "4", "hi": "1", "lo": "0", "p_tr": "0.5", "k_tr": "2",
+          "p_pr": "0.7", "k2_prob": "3"}
+
+
+def flags_for(names):
+    argv = []
+    for name in names:
+        argv += [flag(name), VALUES[name]]
+    return argv
+
+
+def scheme_argv(command, scheme):
+    """A valid eval or sweep of scheme, every flag it reads given."""
+    argv = [command, "--scheme", scheme, *flags_for(SCHEMES[scheme].fields)]
+    if command == "sweep":
+        argv += ["--target", "p", "--values", "0.02,0.04"]
+    return argv
+
+
+class TestUnreadFlags:
+    @pytest.mark.parametrize("command", ["eval", "sweep"])
+    @pytest.mark.parametrize(
+        "scheme,name",
+        [(scheme, name) for scheme, entry in SCHEMES.items() for name in POINT_FIELDS
+         if name not in entry.fields],
+    )
+    def test_scheme_rejects_unread_flag(self, capsys, command, scheme, name):
+        assert run(capsys, scheme_argv(command, scheme))[0] == 0
+        code, out, err = run(capsys, [*scheme_argv(command, scheme), *flags_for([name])])
+        assert code == 2 and out == ""
+        assert err == f"error: scheme {scheme!r} does not read {flag(name)}\n"
+
+    @pytest.mark.parametrize("name", POINT_FIELDS)
+    def test_tree_file_reads_no_point_flag(self, capsys, tmp_path, name):
+        path = tmp_path / "f.json"
+        path.write_text(json.dumps({"payoff": 0.7}))
+        code, out, err = run(capsys, ["eval", "--scheme", f"tree:{path}", *flags_for([name])])
+        assert code == 2 and out == ""
+        assert err == f"error: scheme 'tree:{path}' does not read {flag(name)}\n"
+
+    @pytest.mark.parametrize(
+        "fig_id,name",
+        [(fig_id, name) for fig_id, reads in FIGURES.items() for name in FIGURE_FLAGS
+         if name not in reads],
+    )
+    def test_figure_rejects_unread_flag(self, capsys, fig_id, name):
+        code, out, err = run(capsys, ["figure", fig_id, "--out", "-", *flags_for([name])])
+        assert code == 2 and out == ""
+        assert err == f"error: figure {fig_id!r} does not read {flag(name)}\n"
+
+    @pytest.mark.parametrize(
+        "argv,flags",
+        [
+            (["eval", "--scheme", "dual-a-before", "--p", "0.03", "--n", "4", "--p-pr", "0.7",
+              "--k-tr", "3"], "--k-tr"),
+            (["eval", "--scheme", "hazard", "--p", "0.03", "--n", "4", "--hi", "5",
+              "--p-tr", "0.2"], "--hi, --p-tr"),
+            (["figure", "fig1", "--p", "0.5"], "--p"),
+        ],
+    )
+    def test_reported_invocations(self, capsys, tmp_path, monkeypatch, argv, flags):
+        monkeypatch.chdir(tmp_path)
+        code, out, err = run(capsys, argv)
+        assert code == 2 and out == "" and list(tmp_path.iterdir()) == []
+        assert err.startswith("error: ") and err.endswith(f" does not read {flags}\n")
+
+    def test_eval_has_no_k2_prob(self, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(["eval", "--scheme", "dual-b", "--p", "0.03", "--n", "4", "--p-pr", "0.7",
+                  "--k2-prob", "3"])
+        assert exc.value.code == 2
+        assert "unrecognized arguments: --k2-prob" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("scheme", SCHEMES)
+    @pytest.mark.parametrize("target", POINT_FIELDS)
+    def test_sweep_targets_are_the_scheme_fields(self, capsys, scheme, target):
+        values = {"n": "2,3"}.get(target, "0.2,0.4")
+        argv = ["sweep", "--scheme", scheme, *flags_for(SCHEMES[scheme].fields),
+                "--target", flag(target)[2:], "--values", values]
+        code, out, err = run(capsys, argv)
+        if target in SCHEMES[scheme].fields:
+            assert code == 0 and err == ""
+            header, rows = parse_csv(out)
+            assert header[0] == target and [r[0] for r in rows] == values.split(",")
+        else:
+            assert code == 2 and out == "" and "does not apply" in err
+
+    def test_model_flags_default_to_model_params(self):
+        for command in (["eval", "--scheme", "hazard"], ["sweep", "--scheme", "hazard",
+                                                         "--target", "n"]):
+            assert _params_from(build_parser().parse_args(command)) == ModelParams()
+
+
+class TestUndefinedRatio:
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["sweep", "--scheme", "dual-a-after", "--p", "0.99", "--n", "400", "--p-pr", "0.5",
+             "--target", "p-pr", "--values", "0.5"],
+            ["sweep", "--scheme", "timing", "--p", "0.99", "--n", "400", "--p-tr", "0.5",
+             "--target", "p-tr", "--values", "0.5"],
+            ["figure", "fig7", "--p", "0.99", "--n", "400"],
+            ["figure", "fig5-right", "--p", "0.99", "--n", "400"],
+        ],
+    )
+    def test_zero_reference_utility_exits_2(self, capsys, tmp_path, monkeypatch, argv):
+        monkeypatch.chdir(tmp_path)
+        code, out, err = run(capsys, argv)
+        assert code == 2 and out == "" and list(tmp_path.iterdir()) == []
+        assert err == "error: ratio undefined at p=0.99, n=400: its reference utility underflows to 0\n"
 
 
 class TestHelpers:

@@ -130,6 +130,49 @@ class TestDepth:
         want = discount_factor(HazardSpec(0.03, 20_000), params)
         assert math.isclose(evaluate(chain, params).utility, want, rel_tol=1e-9)
 
+    @staticmethod
+    def deep_trees():
+        from anticipated_surprise import TimingRiskSpec, build_hazard_chain, build_timing_risk
+
+        return [build_hazard_chain(0.03, 5_000),
+                build_timing_risk(TimingRiskSpec(0.03, 5_000, 0.5, 10.0))]
+
+    def test_deep_tree_to_dict(self):
+        # dataclass and dict == recurse, so compare level by level with a stack
+        for tree in self.deep_trees():
+            pairs = [(tree, tree_to_dict(tree))]
+            while pairs:
+                node, doc = pairs.pop()
+                if isinstance(node, Terminal):
+                    assert doc == {"payoff": node.payoff}
+                    continue
+                weighted = node.surprise_weight != 1.0
+                assert list(doc) == ["branches", "weight"][: 1 + weighted]
+                assert doc.get("weight", 1.0) == node.surprise_weight
+                assert len(doc["branches"]) == len(node.branches)
+                for br, entry in zip(node.branches, doc["branches"]):
+                    assert list(entry) == ["p", "node"] and entry["p"] == br.probability
+                    pairs.append((br.child, entry["node"]))
+
+    def test_deep_collapse(self):
+        for tree in self.deep_trees():
+            wrapped = tree
+            for _ in range(5_000):
+                wrapped = Internal((Branch(1.0, wrapped),), surprise_weight=3.0)
+            collapsed = collapse_deterministic(wrapped)
+            assert validate(collapsed).node_count == validate(tree).node_count
+            assert evaluate(collapsed, P) == evaluate(tree, P)
+            pairs = [(collapsed, tree)]
+            while pairs:
+                got, want = pairs.pop()
+                assert type(got) is type(want)
+                if isinstance(got, Terminal):
+                    assert got == want
+                    continue
+                assert got.surprise_weight == want.surprise_weight
+                assert [b.probability for b in got.branches] == [b.probability for b in want.branches]
+                pairs.extend((g.child, w.child) for g, w in zip(got.branches, want.branches))
+
 
 class TestStageSurprises:
     def test_terminal_has_no_stages(self):
