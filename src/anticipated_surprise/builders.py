@@ -34,7 +34,7 @@ def build_hazard_chain(p: float, n: int) -> ResolutionNode:
     probability p; surviving all n levels pays 1."""
     if not (math.isfinite(p) and 0.0 < p < 1.0):
         raise ValidationError(f"p must lie in (0, 1), got {p!r}")
-    if int(n) != n or n < 1:
+    if not math.isfinite(n) or int(n) != n or n < 1:
         raise ValidationError(f"n must be an integer >= 1, got {n!r}")
     return _chain(p, int(n), Terminal(1.0))
 
@@ -90,7 +90,7 @@ def build_dual_scheme_b(spec: DualRiskSpec) -> ResolutionNode:
 
 @dataclass(frozen=True)
 class ScenarioSpec:
-    """Sequential scenario over a fixed horizon.
+    """Sequential scenario over the horizon its two step lists span.
 
     At step i the per-step event fires with probability
     step_probabilities[i] and ends the sequence at step_payoffs[i];
@@ -104,19 +104,12 @@ class ScenarioSpec:
     step_probabilities: Sequence[float]
     step_payoffs: Sequence[float]
     final_payoff: float
-    horizon: int
 
     def __post_init__(self) -> None:
-        if int(self.horizon) != self.horizon or self.horizon < 1:
-            raise ValidationError(f"horizon must be an integer >= 1, got {self.horizon!r}")
-        if len(self.step_probabilities) != self.horizon:
-            raise ValidationError(
-                f"expected {self.horizon} step probabilities, got {len(self.step_probabilities)}"
-            )
-        if len(self.step_payoffs) != self.horizon:
-            raise ValidationError(
-                f"expected {self.horizon} step payoffs, got {len(self.step_payoffs)}"
-            )
+        n_probs, n_payoffs = len(self.step_probabilities), len(self.step_payoffs)
+        if n_probs != n_payoffs or n_probs < 1:
+            raise ValidationError(f"step_probabilities and step_payoffs need the same "
+                                  f"length >= 1, got {n_probs} and {n_payoffs}")
         for i, prob in enumerate(self.step_probabilities):
             if not (math.isfinite(prob) and 0.0 < prob < 1.0):
                 raise ValidationError(

@@ -107,12 +107,14 @@ POINT_FIELDS = tuple(f.name for f in fields(SchemePoint) if "help" in f.metadata
 class Scheme(NamedTuple):
     """A built-in scheme: the point fields it reads (its required flags, in
     reporting order, its sweep targets and the only point flags it takes),
-    the builder, and its sweeps' column with ratio(point, params, k2_prob, u or None)."""
+    the builder, its sweeps' column with ratio(point, params, k2_prob, u or None),
+    and the sweep flags that ratio reads."""
 
     fields: tuple[str, ...]
     build: Callable[[SchemePoint], ResolutionNode]
     column: str | None = None
     ratio: Callable[..., float] | None = None
+    ratio_flags: tuple[str, ...] = ()
 
 
 def _dual(build: Callable[[DualRiskSpec], ResolutionNode], scheme: DualScheme) -> Scheme:
@@ -122,6 +124,7 @@ def _dual(build: Callable[[DualRiskSpec], ResolutionNode], scheme: DualScheme) -
         lambda pt: build(DualRiskSpec(pt.p, pt.n, pt.p_pr, scheme)),
         "discount_ratio",
         lambda pt, params, k2_prob, u: dual_ratio_point(pt, params, k2_prob, u_pt=u),
+        ("k2_prob",),
     )
 
 
@@ -400,6 +403,13 @@ def cmd_sweep(args: argparse.Namespace) -> int:
     params = _params_from(args)
     mode = parse_scaling_mode(args.scaling)
     fixed = _point_from(args)
+    k2_prob = args.k2_prob
+    if k2_prob is None:
+        k2_prob = DualRiskSpec.k2_prob
+    elif "k2_prob" not in getattr(SCHEMES.get(fixed.scheme), "ratio_flags", ()):
+        raise ValidationError(f"scheme {args.scheme!r} does not read --k2-prob")
+    elif not (math.isfinite(k2_prob) and k2_prob >= 0.0):
+        raise ValidationError(f"--k2-prob must be finite and >= 0, got {k2_prob!r}")
     if args.grid is not None and args.values is not None:
         raise ValidationError("give either --grid or --values, not both")
     if args.grid is not None:
@@ -418,7 +428,7 @@ def cmd_sweep(args: argparse.Namespace) -> int:
     else:
         raise ValidationError("sweep requires --grid or --values")
     target = args.target.replace("-", "_")
-    header, rows = sweep_rows(target, values, fixed, params, mode, args.k2_prob)
+    header, rows = sweep_rows(target, values, fixed, params, mode, k2_prob)
     _write(render_csv(header, rows), "-" if args.out is None else args.out)
     return 0
 
@@ -499,8 +509,9 @@ def build_parser() -> argparse.ArgumentParser:
     _add_scheme_flags(p_sweep)
     _add_model_flags(p_sweep)
     p_sweep.add_argument("--target", required=True, help="point flag of the scheme to sweep")
-    p_sweep.add_argument("--k2-prob", dest="k2_prob", type=float, default=DualRiskSpec.k2_prob,
-                         help="dual: negative-surprise gain for the probability-only comparison")
+    p_sweep.add_argument("--k2-prob", dest="k2_prob", type=float,
+                         help="dual: negative-surprise gain for the probability-only "
+                         f"comparison (default {fmt(DualRiskSpec.k2_prob)})")
     p_sweep.add_argument("--grid", help="start:stop:count")
     p_sweep.add_argument("--values", help="comma-separated explicit values")
     p_sweep.add_argument("--out", help="output path (default stdout)")

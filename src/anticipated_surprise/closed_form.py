@@ -50,7 +50,7 @@ class TimingRiskSpec:
     def __post_init__(self) -> None:
         if not (math.isfinite(self.p) and 0.0 < self.p < 1.0):
             raise ValidationError(f"p must lie in (0, 1), got {self.p!r}")
-        if int(self.n) != self.n or self.n < 2:
+        if not math.isfinite(self.n) or int(self.n) != self.n or self.n < 2:
             raise ValidationError(f"n must be an integer >= 2, got {self.n!r}")
         if not (math.isfinite(self.p_tr) and 0.0 < self.p_tr < 1.0):
             raise ValidationError(f"p_tr must lie in (0, 1), got {self.p_tr!r}")
@@ -82,7 +82,7 @@ class DualRiskSpec:
     def __post_init__(self) -> None:
         if not (math.isfinite(self.p) and 0.0 < self.p < 1.0):
             raise ValidationError(f"p must lie in (0, 1), got {self.p!r}")
-        if int(self.n) != self.n or self.n < 1:
+        if not math.isfinite(self.n) or int(self.n) != self.n or self.n < 1:
             raise ValidationError(f"n must be an integer >= 1, got {self.n!r}")
         if not (math.isfinite(self.p_pr) and 0.0 < self.p_pr < 1.0):
             raise ValidationError(f"p_pr must lie in (0, 1), got {self.p_pr!r}")
@@ -113,7 +113,7 @@ def hazard_stage_surprise(spec: HazardSpec, t: int, params: ModelParams) -> floa
     -C * q**(alpha*(n-t+1)) is the kernel-weighted pair of jumps (survive
     vs lose) at that step.  Later steps are worse: the stake has grown.
     """
-    if int(t) != t or not 1 <= t <= spec.n:
+    if not math.isfinite(t) or int(t) != t or not 1 <= t <= spec.n:
         raise ValidationError(f"stage must be an integer in [1, {spec.n}], got {t!r}")
     q = 1.0 - spec.p
     c = _chain_constant(spec.p, params)
@@ -151,13 +151,11 @@ def prob_only_surprise(p_pr: float, params: ModelParams) -> float:
 
         p_pr*(1-p_pr)**alpha - k*(1-p_pr)*p_pr**alpha
 
-    Positive for small p_pr (risk seeking), negative once p_pr grows.
-    Degenerate gambles (p_pr 0 or 1) carry no surprise.
+    Positive for small p_pr (risk seeking), negative once p_pr grows;
+    0 for the degenerate gambles p_pr = 0 and 1.
     """
     if not (math.isfinite(p_pr) and 0.0 <= p_pr <= 1.0):
         raise ValidationError(f"p_pr must lie in [0, 1], got {p_pr!r}")
-    if p_pr in (0.0, 1.0):
-        return 0.0
     a = params.alpha
     return p_pr * (1.0 - p_pr) ** a - params.k * (1.0 - p_pr) * p_pr**a
 
@@ -202,13 +200,9 @@ def timing_components(spec: TimingRiskSpec, params: ModelParams) -> TimingCompon
     a = params.alpha
     ap = a - 1.0
     q = 1.0 - p
-    c = _chain_constant(p, params)
     m = p_tr + (1.0 - p_tr) * q * q
 
-    denom = 1.0 - q**ap
-    if denom == 0.0:
-        raise ValidationError("q**(alpha-1) == 1; hazard probability too small to resolve")
-    d_common = -c * m**a * q ** (n - 1 + ap) * (1.0 - q ** ((n - 1) * ap)) / denom
+    d_common = m**a * hazard_total_surprise(HazardSpec(p, n - 1), params)
     d_tr0 = q ** (n - 1) * (1.0 - q * q) ** a * prob_only_surprise(p_tr, params)
     d_late = (
         p

@@ -12,16 +12,8 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from .core import ModelParams, ValidationError, utility
-from .tree import (
-    Branch,
-    EvaluationResult,
-    Internal,
-    ResolutionNode,
-    Terminal,
-    _stage_surprises,
-    validate,
-)
+from .core import ModelParams, ValidationError
+from .tree import Branch, EvaluationResult, Internal, ResolutionNode, Terminal, _result, validate
 
 
 @dataclass(frozen=True)
@@ -99,15 +91,12 @@ def parse_scaling_mode(text: str) -> ScalingMode:
         return NoScaling()
     if text == "full":
         return FullScaling()
-    if text.startswith("partial:"):
+    kind, colon, value = text.partition(":")
+    mode = {"partial": PartialScaling, "scale": FixedScale}.get(kind)
+    if colon and mode is not None:
         try:
-            return PartialScaling(float(text.split(":", 1)[1]))
-        except ValueError as exc:
-            raise ValidationError(f"bad scaling spec {text!r}: {exc}") from exc
-    if text.startswith("scale:"):
-        try:
-            return FixedScale(float(text.split(":", 1)[1]))
-        except ValueError as exc:
+            return mode(float(value))
+        except ValueError as exc:  # also the mode's own ValidationError
             raise ValidationError(f"bad scaling spec {text!r}: {exc}") from exc
     raise ValidationError(
         f"unknown scaling mode {text!r}; expected none, full, partial:<gamma> or scale:<s>"
@@ -164,20 +153,14 @@ class ScaledEvaluation:
 def scaled_evaluation(
     node: ResolutionNode, params: ModelParams, mode: ScalingMode
 ) -> ScaledEvaluation:
-    """Evaluate the normalized tree without building it.
-
-    Mapping payoffs by x -> (x - offset) / scale maps every conditional
-    expected value the same way, so the offset cancels in each jump and
-    the surprise pass only divides the raw jumps by scale.  The raw
-    tree's own surprise and utility are never computed, so payoffs too
-    large for them still evaluate once normalized.
+    """Evaluate the normalized tree without building it: the surprise
+    pass divides the raw jumps by the transform's scale.  The raw tree's
+    own surprise and utility are never computed, so payoffs too large for
+    them still evaluate once normalized.
     """
     report = validate(node)
     transform = _transform_for(report.payoff_min, report.payoff_max, mode)
-    surprises = tuple(_stage_surprises(node, report.conditional_values, params, transform.scale))
-    total = sum(surprises, 0.0)
-    u0 = transform.apply(report.expected_value)
-    scaled = EvaluationResult(u0, surprises, total, utility(u0, total, params))
+    scaled = _result(node, report, params, transform.scale, transform.offset)
     return ScaledEvaluation(
         transform=transform,
         scaled=scaled,

@@ -224,16 +224,24 @@ def _stage_surprises(
 
 def evaluate(node: ResolutionNode, params: ModelParams) -> EvaluationResult:
     """Expected value, per-stage surprises, their sum, and the utility."""
-    report = validate(node)
-    surprises = _stage_surprises(node, report.conditional_values, params)
-    u0 = report.expected_value
+    return _result(node, validate(node), params)
+
+
+def _result(
+    node: ResolutionNode,
+    report: ValidationReport,
+    params: ModelParams,
+    scale: float = 1.0,
+    offset: float = 0.0,
+) -> EvaluationResult:
+    """Evaluation of a validated tree, from its report, with every payoff
+    x read as (x - offset) / scale.  Conditional values map the same way,
+    so the offset cancels in each jump and the jumps are divided by scale;
+    the identity (1, 0) leaves every float as it is."""
+    surprises = _stage_surprises(node, report.conditional_values, params, scale)
+    u0 = (report.expected_value - offset) / scale
     total = sum(surprises, 0.0)
-    return EvaluationResult(
-        expected_value=u0,
-        stage_surprises=tuple(surprises),
-        total_surprise=total,
-        utility=utility(u0, total, params),
-    )
+    return EvaluationResult(u0, tuple(surprises), total, utility(u0, total, params))
 
 
 def collapse_deterministic(node: ResolutionNode) -> ResolutionNode:

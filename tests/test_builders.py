@@ -144,7 +144,6 @@ class TestScenario:
             step_probabilities=[0.4],
             step_payoffs=[1.0],
             final_payoff=-2.0,
-            horizon=1,
         )
         got = evaluate(build_scenario(spec), P)
         want = evaluate(build_binary_gamble(1.0, -2.0, 0.4), P)
@@ -158,7 +157,6 @@ class TestScenario:
             step_probabilities=[p] * n,
             step_payoffs=[loss] * n,
             final_payoff=agreement,
-            horizon=n,
         )
         scenario_u = evaluate_scaled(build_scenario(spec), P, FullScaling())
         chain_u = evaluate_scaled(build_hazard_chain(p, n), P, FullScaling())
@@ -169,20 +167,20 @@ class TestScenario:
             step_probabilities=[0.1] * 4,
             step_payoffs=[-0.5, -1.0, -2.0, -4.0],
             final_payoff=3.0,
-            horizon=4,
         )
         ss = stage_surprises(build_scenario(spec), P)
         assert min(ss) == ss[-1]
 
     def test_validation(self):
-        with pytest.raises(ValidationError, match="probabilities"):
-            ScenarioSpec([0.1], [-1.0, -2.0], 1.0, 2)
-        with pytest.raises(ValidationError, match="payoffs"):
-            ScenarioSpec([0.1, 0.2], [-1.0], 1.0, 2)
-        with pytest.raises(ValidationError, match="horizon"):
-            ScenarioSpec([], [], 1.0, 0)
+        lengths = "step_probabilities and step_payoffs need the same length >= 1"
+        with pytest.raises(ValidationError, match=f"{lengths}, got 1 and 2"):
+            ScenarioSpec([0.1], [-1.0, -2.0], 1.0)
+        with pytest.raises(ValidationError, match=f"{lengths}, got 2 and 1"):
+            ScenarioSpec([0.1, 0.2], [-1.0], 1.0)
+        with pytest.raises(ValidationError, match=f"{lengths}, got 0 and 0"):
+            ScenarioSpec([], [], 1.0)
         with pytest.raises(ValidationError):
-            ScenarioSpec([1.5], [-1.0], 1.0, 1)
+            ScenarioSpec([1.5], [-1.0], 1.0)
 
 
 class TestAllBuildersValidate:
@@ -195,7 +193,7 @@ class TestAllBuildersValidate:
             build_dual_scheme_a(DualRiskSpec(0.1, 3, 0.6, DualScheme.SEPARATE_BEFORE)),
             build_dual_scheme_b(DualRiskSpec(0.1, 3, 0.6, DualScheme.INCORPORATED)),
             build_scenario(
-                ScenarioSpec([0.2, 0.3], [1.0, 0.8], -1.0, 2)
+                ScenarioSpec([0.2, 0.3], [1.0, 0.8], -1.0)
             ),
         ]
         for tree in trees:

@@ -3,7 +3,7 @@ import math
 
 import pytest
 
-from anticipated_surprise import ModelParams
+from anticipated_surprise import ModelParams, build_binary_gamble, evaluate
 from anticipated_surprise.cli import (
     FIGURE_FLAGS,
     FIGURES,
@@ -278,6 +278,10 @@ class TestFigures:
             assert dict(zip(hdr, rws[0]))["utility"] == fmt(rows[i][1])
 
 
+GAMBLE_LO_SWEEP = ["sweep", "--scheme", "gamble", "--hi", "1", "--lo", "0", "--p", "0.5",
+                   "--target", "lo"]
+
+
 class TestSweep:
     def test_two_point_grid(self, capsys):
         code, out, _ = run(
@@ -366,6 +370,26 @@ class TestSweep:
         )
         assert code == 2 and "whole numbers" in err
 
+    @pytest.mark.parametrize(
+        "argv,los",
+        [
+            (["eval", "--scheme", "gamble", "--hi", "1", "--lo=-1e3", "--p", "0.5"], ["-1000"]),
+            ([*GAMBLE_LO_SWEEP, "--values=-2,-1"], ["-2", "-1"]),
+            ([*GAMBLE_LO_SWEEP, "--grid=-3:-1:3"], ["-3", "-2", "-1"]),
+        ],
+    )
+    def test_negative_values_in_equals_form(self, capsys, argv, los):
+        # argparse reads "-1e3", "-2,-1" or "-3:-1:3" after a space as a
+        # flag; the --flag=value form always reads it as the value
+        code, out, err = run(capsys, argv)
+        assert code == 0 and err == ""
+        header, rows = parse_csv(out)
+        for row, lo in zip(rows, los, strict=True):
+            cells = dict(zip(header, row))
+            assert cells["lo"] == lo and cells["u0"] == fmt(0.5 + 0.5 * float(lo))
+            tree = build_binary_gamble(1.0, float(lo), 0.5)
+            assert cells["utility"] == fmt(evaluate(tree, ModelParams()).utility)
+
     def test_deterministic_output(self, capsys):
         argv = ["sweep", "--scheme", "dual-b", "--p", "0.03", "--n", "4",
                 "--k2", "10", "--target", "p-pr", "--grid", "0.3:0.9:13"]
@@ -395,13 +419,14 @@ def scheme_argv(command, scheme):
 
 
 class TestUnreadFlags:
-    @pytest.mark.parametrize("command", ["eval", "sweep"])
     @pytest.mark.parametrize(
-        "scheme,name",
-        [(scheme, name) for scheme, entry in SCHEMES.items() for name in POINT_FIELDS
-         if name not in entry.fields],
+        "scheme,name,command",
+        [(scheme, name, command) for scheme, entry in SCHEMES.items() for name in POINT_FIELDS
+         if name not in entry.fields for command in ("eval", "sweep")]
+        + [(scheme, "k2_prob", "sweep") for scheme, entry in SCHEMES.items()
+           if "k2_prob" not in entry.ratio_flags],
     )
-    def test_scheme_rejects_unread_flag(self, capsys, command, scheme, name):
+    def test_scheme_rejects_unread_flag(self, capsys, scheme, name, command):
         assert run(capsys, scheme_argv(command, scheme))[0] == 0
         code, out, err = run(capsys, [*scheme_argv(command, scheme), *flags_for([name])])
         assert code == 2 and out == ""
@@ -440,6 +465,21 @@ class TestUnreadFlags:
         code, out, err = run(capsys, argv)
         assert code == 2 and out == "" and list(tmp_path.iterdir()) == []
         assert err.startswith("error: ") and err.endswith(f" does not read {flags}\n")
+
+    @pytest.mark.parametrize("scheme", ["dual-a-after", "dual-a-before", "dual-b"])
+    def test_dual_sweep_reads_k2_prob(self, capsys, scheme):
+        argv = scheme_argv("sweep", scheme)
+        code, default, err = run(capsys, argv)
+        assert code == 0 and err == ""
+        assert run(capsys, [*argv, "--k2-prob", "2"]) == (0, default, "")
+        code, out, err = run(capsys, [*argv, "--k2-prob", "5"])
+        assert code == 0 and out != default
+
+    @pytest.mark.parametrize("value", ["-1", "nan", "inf"])
+    def test_bad_k2_prob_names_the_flag(self, capsys, value):
+        code, out, err = run(capsys, [*scheme_argv("sweep", "dual-b"), "--k2-prob", value])
+        assert code == 2 and out == ""
+        assert err == f"error: --k2-prob must be finite and >= 0, got {float(value)!r}\n"
 
     def test_eval_has_no_k2_prob(self, capsys):
         with pytest.raises(SystemExit) as exc:

@@ -354,5 +354,23 @@ class TestSpecValidation:
         with pytest.raises(ValidationError):
             DualRiskSpec(0.03, 4, 1.0)
 
+    @pytest.mark.parametrize("value", [math.inf, -math.inf, math.nan])
+    @pytest.mark.parametrize(
+        "call,message",
+        [
+            (lambda v: TimingRiskSpec(0.03, v, 0.5), "n must be an integer >= 2"),
+            (lambda v: DualRiskSpec(0.03, v, 0.5), "n must be an integer >= 1"),
+            (lambda v: build_hazard_chain(0.03, v), "n must be an integer >= 1"),
+            (lambda v: hazard_stage_surprise(HazardSpec(0.03, 4), v, P),
+             r"stage must be an integer in \[1, 4\]"),
+        ],
+        ids=["timing-spec", "dual-spec", "hazard-chain", "hazard-stage"],
+    )
+    def test_non_finite_whole_number_rejected(self, call, message, value):
+        # int() of nan or inf raises ValueError or OverflowError; the
+        # finiteness check comes first and keeps the usual message
+        with pytest.raises(ValidationError, match=message):
+            call(value)
+
     def test_modulation_passthrough(self):
         assert surprise_modulation(-1.0, P10) == pytest.approx(1.0 / 11.0, abs=1e-15)

@@ -6,6 +6,8 @@ import pytest
 from anticipated_surprise import (
     AffineTransform,
     Branch,
+    DualRiskSpec,
+    DualScheme,
     FixedScale,
     FullScaling,
     Internal,
@@ -14,8 +16,13 @@ from anticipated_surprise import (
     Modulation,
     PartialScaling,
     Terminal,
+    TimingRiskSpec,
     ValidationError,
     build_binary_gamble,
+    build_dual_scheme_a,
+    build_dual_scheme_b,
+    build_hazard_chain,
+    build_timing_risk,
     derive_transform,
     evaluate,
     evaluate_scaled,
@@ -100,10 +107,21 @@ class TestEvaluateScaled:
         assert unit == pytest.approx(0.3012494703671804, abs=1e-9)
 
     def test_none_mode_equals_plain_evaluate(self):
+        # both go through one result builder; the identity must keep every float
         rng = random.Random(11)
-        for _ in range(10):
-            tree = random_tree(rng, max_depth=3)
-            assert evaluate_scaled(tree, P, NoScaling()) == evaluate(tree, P).utility
+        trees = [random_tree(rng, max_depth=3) for _ in range(10)] + [
+            build_binary_gamble(2.0, -1.0, 0.3),
+            build_hazard_chain(0.03, 50),
+            build_timing_risk(TimingRiskSpec(0.03, 4, 0.5, 10.0)),
+            *(build_dual_scheme_a(DualRiskSpec(0.03, 4, 0.7, scheme))
+              for scheme in (DualScheme.SEPARATE_AFTER, DualScheme.SEPARATE_BEFORE)),
+            build_dual_scheme_b(DualRiskSpec(0.03, 4, 0.7, DualScheme.INCORPORATED)),
+        ]
+        for tree in trees:
+            for params in (P, ModelParams(k2=10.0, modulation=Modulation.EXPONENTIAL_NEGATIVE)):
+                got = scaled_evaluation(tree, params, NoScaling())
+                assert got.scaled == evaluate(tree, params)
+                assert got.utility == got.scaled.utility
 
     def test_full_on_unit_range_tree_is_bitwise_noop(self):
         # identity transform: (x - 0)/1 leaves the floats untouched
@@ -186,6 +204,26 @@ class TestEvaluateScaled:
         assert payoffs == [0.0, 1.0]
 
 
+UNKNOWN = "; expected none, full, partial:<gamma> or scale:<s>"
+#: Rejected scaling specs and the messages they must keep.
+REJECTED = {
+    "": "unknown scaling mode ''" + UNKNOWN,
+    "half": "unknown scaling mode 'half'" + UNKNOWN,
+    "none:": "unknown scaling mode 'none:'" + UNKNOWN,
+    "partial": "unknown scaling mode 'partial'" + UNKNOWN,
+    "full:1": "unknown scaling mode 'full:1'" + UNKNOWN,
+    "NONE": "unknown scaling mode 'NONE'" + UNKNOWN,
+    "partial:": "bad scaling spec 'partial:': could not convert string to float: ''",
+    "partial:2": "bad scaling spec 'partial:2': gamma must lie in (0, 1], got 2.0",
+    "partial:nan": "bad scaling spec 'partial:nan': gamma must lie in (0, 1], got nan",
+    "partial:0.5:1": "bad scaling spec 'partial:0.5:1': could not convert string to float: '0.5:1'",
+    "scale:": "bad scaling spec 'scale:': could not convert string to float: ''",
+    "scale:-1": "bad scaling spec 'scale:-1': scale must be finite and > 0, got -1.0",
+    "scale:x": "bad scaling spec 'scale:x': could not convert string to float: 'x'",
+    "scale:inf": "bad scaling spec 'scale:inf': scale must be finite and > 0, got inf",
+}
+
+
 class TestParseScalingMode:
     @pytest.mark.parametrize(
         "text,expected",
@@ -199,7 +237,9 @@ class TestParseScalingMode:
     def test_parses(self, text, expected):
         assert parse_scaling_mode(text) == expected
 
-    @pytest.mark.parametrize("text", ["", "half", "partial:", "partial:2", "scale:-1", "scale:x"])
+    @pytest.mark.parametrize("text", REJECTED)
     def test_rejects(self, text):
-        with pytest.raises(ValidationError):
+        with pytest.raises(ValidationError) as exc:
             parse_scaling_mode(text)
+        assert str(exc.value) == REJECTED[text]
+
