@@ -18,7 +18,7 @@ from dataclasses import dataclass
 from typing import Sequence
 
 from .closed_form import DualRiskSpec, DualScheme, TimingRiskSpec
-from .core import ValidationError
+from .core import ValidationError, is_whole
 from .tree import Branch, Internal, ResolutionNode, Terminal
 
 
@@ -34,7 +34,7 @@ def build_hazard_chain(p: float, n: int) -> ResolutionNode:
     probability p; surviving all n levels pays 1."""
     if not (math.isfinite(p) and 0.0 < p < 1.0):
         raise ValidationError(f"p must lie in (0, 1), got {p!r}")
-    if not math.isfinite(n) or int(n) != n or n < 1:
+    if not (is_whole(n) and n >= 1):
         raise ValidationError(f"n must be an integer >= 1, got {n!r}")
     return _chain(p, int(n), Terminal(1.0))
 

@@ -27,7 +27,7 @@ import argparse
 import math
 import sys
 from dataclasses import dataclass, field, fields, replace
-from typing import Callable, NamedTuple
+from typing import Callable, Iterable, NamedTuple
 
 from .builders import (
     build_binary_gamble,
@@ -44,9 +44,10 @@ from .closed_form import (
     discount_factor,
     mean_delay,
 )
-from .core import ModelParams, Modulation, ValidationError
-from .scaling import NoScaling, FixedScale, ScalingMode, parse_scaling_mode, scaled_evaluation
-from .tree import ResolutionNode, load_tree
+from .core import ModelParams, Modulation, ValidationError, is_whole
+from .scaling import (NoScaling, FixedScale, ScalingMode, parse_scaling_mode,
+                      reads_payoff_range, scaled_evaluation)
+from .tree import ResolutionNode, ValidationReport, load_tree, validate
 
 
 def fmt(value: float) -> str:
@@ -59,7 +60,7 @@ def fmt(value: float) -> str:
 
 def whole(value: float, message: str) -> int:
     """value as an int; ValidationError(message) unless finite and whole."""
-    if not (math.isfinite(value) and value == int(value)):
+    if not is_whole(value):
         raise ValidationError(f"{message}, got {value!r}")
     return int(value)
 
@@ -105,16 +106,26 @@ POINT_FIELDS = tuple(f.name for f in fields(SchemePoint) if "help" in f.metadata
 
 
 class Scheme(NamedTuple):
-    """A built-in scheme: the point fields it reads (its required flags, in
-    reporting order, its sweep targets and the only point flags it takes),
-    the builder, its sweeps' column with ratio(point, params, k2_prob, u or None),
-    and the sweep flags that ratio reads."""
+    """A built-in scheme.
+
+    fields: the point fields it reads: its required flags, in reporting
+        order, its sweep targets and the only point flags it takes
+    build: the point's tree
+    column, ratio: its sweeps' ratio column, and
+        ratio(point, params, k2_prob, u or None, memo), memo being a dict
+        that lives for one sweep
+    ratio_flags: the sweep flags that ratio reads
+    nests_from: if its trees nest in n, the smallest n it takes; the tree
+        at n + 1 is then one level whose last branch leads to the tree at
+        n (see n_grid)
+    """
 
     fields: tuple[str, ...]
     build: Callable[[SchemePoint], ResolutionNode]
     column: str | None = None
     ratio: Callable[..., float] | None = None
     ratio_flags: tuple[str, ...] = ()
+    nests_from: int | None = None
 
 
 def _dual(build: Callable[[DualRiskSpec], ResolutionNode], scheme: DualScheme) -> Scheme:
@@ -123,23 +134,33 @@ def _dual(build: Callable[[DualRiskSpec], ResolutionNode], scheme: DualScheme) -
         ("p", "n", "p_pr"),
         lambda pt: build(DualRiskSpec(pt.p, pt.n, pt.p_pr, scheme)),
         "discount_ratio",
-        lambda pt, params, k2_prob, u: dual_ratio_point(pt, params, k2_prob, u_pt=u),
+        _dual_sweep_ratio,
         ("k2_prob",),
     )
+
+
+def _dual_sweep_ratio(point: SchemePoint, params: ModelParams, k2_prob: float,
+                      u: float | None, memo: dict) -> float:
+    """A dual sweep row's ratio; U_p depends only on p_pr, so memo keeps it."""
+    if point.p_pr not in memo:
+        memo[point.p_pr] = gamble_utility(point.p_pr, params, k2_prob)
+    return dual_ratio_point(point, params, k2_prob, u_p=memo[point.p_pr], u_pt=u)
 
 
 # Entries call builders and ratio helpers by their module-level names at
 # call time, so rebinding those names (as a tracer does) reaches them.
 SCHEMES = {
     "gamble": Scheme(("hi", "lo", "p"), lambda pt: build_binary_gamble(pt.hi, pt.lo, pt.p)),
-    "hazard": Scheme(("p", "n"), lambda pt: build_hazard_chain(pt.p, pt.n)),
+    "hazard": Scheme(("p", "n"), lambda pt: build_hazard_chain(pt.p, pt.n), nests_from=1),
     "timing": Scheme(
         ("p", "n", "p_tr", "k_tr"),
         lambda pt: build_timing_risk(TimingRiskSpec(pt.p, pt.n, pt.p_tr, pt.k_tr)),
         "timing_ratio",
-        lambda pt, params, k2_prob, u: timing_ratio_point(pt, params, u),
+        lambda pt, params, k2_prob, u, memo: timing_ratio_point(pt, params, u),
+        nests_from=2,
     ),
-    "dual-a-after": _dual(lambda spec: build_dual_scheme_a(spec), DualScheme.SEPARATE_AFTER),
+    "dual-a-after": _dual(lambda spec: build_dual_scheme_a(spec),
+                          DualScheme.SEPARATE_AFTER)._replace(nests_from=1),
     "dual-a-before": _dual(lambda spec: build_dual_scheme_a(spec), DualScheme.SEPARATE_BEFORE),
     "dual-b": _dual(lambda spec: build_dual_scheme_b(spec), DualScheme.INCORPORATED),
 }
@@ -160,11 +181,64 @@ def build_scheme_tree(point: SchemePoint) -> ResolutionNode:
 
 
 def evaluate_point(
-    point: SchemePoint, params: ModelParams, mode: ScalingMode
+    point: SchemePoint,
+    params: ModelParams,
+    mode: ScalingMode,
+    tree: ResolutionNode | None = None,
+    report: ValidationReport | None = None,
 ) -> tuple[float, float, float]:
-    """(raw expected value, surprise of the scaled tree, final utility)."""
-    result = scaled_evaluation(build_scheme_tree(point), params, mode)
+    """(raw expected value, surprise of the scaled tree, final utility).
+
+    A caller that holds point's tree may pass it, with the report of a
+    validated tree that contains it (see ``scaled_evaluation``).
+    """
+    if tree is None:
+        tree = build_scheme_tree(point)
+    result = scaled_evaluation(tree, params, mode, report)
     return result.raw_expected_value, result.scaled.total_surprise, result.utility
+
+
+def n_grid(
+    fixed: SchemePoint, ns: Iterable[float], params: ModelParams, mode: ScalingMode
+) -> dict[int, tuple[float, float, float]]:
+    """evaluate_point of fixed at each n of ns, keyed by n, from one build
+    and one validation: those of the tree at the largest n, N.
+
+    Applies where fixed's scheme nests in n and mode reads no payoff range:
+    the tree at n is then the node N - n levels down the last branch of the
+    tree at N, whose report holds its conditional values.  Elsewhere, and
+    when the shared pass fails, it returns {}: the caller then evaluates
+    each point on its own, so the first bad point in list order reports.
+    It stops at the first value that is no valid n, which the caller's own
+    build of that point rejects.
+    """
+    first = SCHEMES[fixed.scheme].nests_from
+    if first is None or reads_payoff_range(mode):
+        return {}
+    valid = []
+    for n in ns:
+        if not (is_whole(n) and n >= first):
+            break
+        valid.append(int(n))
+    if not valid:
+        return {}
+    depth, grid = max(valid), {}
+    try:
+        node = build_scheme_tree(replace(fixed, n=depth))
+        report = validate(node)
+        for n in sorted(set(valid), reverse=True):
+            for _ in range(depth - n):
+                node = node.branches[-1].child
+            depth = n
+            grid[n] = evaluate_point(replace(fixed, n=n), params, mode, node, report)
+    except (ValidationError, OverflowError):
+        return {}
+    return grid
+
+
+def _grid_utility(grid: dict[int, tuple[float, float, float]], n: int) -> float | None:
+    """The utility an n_grid holds at n, or None if it left n out."""
+    return grid[n][2] if n in grid else None
 
 
 def _ratio(utility: float, reference: float, point: SchemePoint) -> float:
@@ -308,21 +382,27 @@ def figure_rows(fig_id: str, overrides: dict | None = None) -> tuple[list[str], 
 
     if fig_id in _HAZARD_FIGURES:
         header, columns = _HAZARD_FIGURES[fig_id]
+        grid = n_grid(SchemePoint("hazard", p=p), range(1, 51), params, NoScaling())
         for steps in range(1, 51):
             point = SchemePoint("hazard", p=p, n=steps)
-            _, delta, util = evaluate_point(point, params, NoScaling())
+            _, delta, util = (grid[steps] if steps in grid
+                              else evaluate_point(point, params, NoScaling()))
             rows.append([float(steps), *columns(steps, delta, util)])
         return header, rows
 
     if fig_id in ("fig5-left", "fig5-right"):
-        # left: n = 2..12 at p_tr = 0.5; right: the p_tr grid at n
+        # left: n = 2..12 at p_tr = 0.5, one n-grid per k_tr; right: the p_tr grid at n
         left = fig_id == "fig5-left"
         xs = [float(m) for m in range(2, 13)] if left else grid_points(0.05, 0.95, 91)
+        grids = {k_tr: n_grid(SchemePoint("timing", p=p, p_tr=0.5, k_tr=k_tr),
+                              xs if left else (), params, NoScaling()) for k_tr in (10.0, 0.0)}
         for x in xs:
             n_x, p_tr = (int(x), 0.5) if left else (n, x)
-            points = [SchemePoint("timing", p=p, n=n_x, p_tr=p_tr, k_tr=k_tr)
-                      for k_tr in (10.0, 0.0)]
-            rows.append([x, *(timing_ratio_point(point, params) for point in points)])
+            cells = []
+            for k_tr, grid in grids.items():
+                point = SchemePoint("timing", p=p, n=n_x, p_tr=p_tr, k_tr=k_tr)
+                cells.append(timing_ratio_point(point, params, _grid_utility(grid, n_x)))
+            rows.append([x, *cells])
         return ["n" if left else "p_tr", "ratio_weighted", "ratio_unweighted"], rows
 
     if fig_id in ("fig7", "figA2"):
@@ -384,17 +464,22 @@ def sweep_rows(
     header = [target, "u0", "delta", "utility"]
     if entry.column is not None:
         header.append(entry.column)
-    # a ratio is made of unscaled utilities: reuse the row's only if unscaled
+    ns = values if target == "n" else ()
+    grid = n_grid(fixed, ns, params, mode)
+    # a ratio is made of unscaled utilities: the row's own if unscaled
     unscaled = isinstance(mode, NoScaling)
+    plain = {} if unscaled or entry.ratio is None else n_grid(fixed, ns, params, NoScaling())
+    memo: dict = {}
     rows = []
     for value in values:
         if target == "n":
             value = whole(value, "n grid values must be whole numbers")
         point = replace(fixed, **{target: value})
-        u0, delta, util = evaluate_point(point, params, mode)
+        u0, delta, util = grid[value] if value in grid else evaluate_point(point, params, mode)
         row = [value, u0, delta, util]
         if entry.ratio is not None:
-            row.append(entry.ratio(point, params, k2_prob, util if unscaled else None))
+            u = util if unscaled else _grid_utility(plain, value)
+            row.append(entry.ratio(point, params, k2_prob, u, memo))
         rows.append(row)
     return header, rows
 

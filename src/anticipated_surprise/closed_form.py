@@ -15,7 +15,7 @@ import math
 from dataclasses import dataclass, replace
 from enum import Enum
 
-from .core import ModelParams, ValidationError, utility
+from .core import ModelParams, ValidationError, is_whole, utility
 
 
 @dataclass(frozen=True)
@@ -50,7 +50,7 @@ class TimingRiskSpec:
     def __post_init__(self) -> None:
         if not (math.isfinite(self.p) and 0.0 < self.p < 1.0):
             raise ValidationError(f"p must lie in (0, 1), got {self.p!r}")
-        if not math.isfinite(self.n) or int(self.n) != self.n or self.n < 2:
+        if not (is_whole(self.n) and self.n >= 2):
             raise ValidationError(f"n must be an integer >= 2, got {self.n!r}")
         if not (math.isfinite(self.p_tr) and 0.0 < self.p_tr < 1.0):
             raise ValidationError(f"p_tr must lie in (0, 1), got {self.p_tr!r}")
@@ -82,7 +82,7 @@ class DualRiskSpec:
     def __post_init__(self) -> None:
         if not (math.isfinite(self.p) and 0.0 < self.p < 1.0):
             raise ValidationError(f"p must lie in (0, 1), got {self.p!r}")
-        if not math.isfinite(self.n) or int(self.n) != self.n or self.n < 1:
+        if not (is_whole(self.n) and self.n >= 1):
             raise ValidationError(f"n must be an integer >= 1, got {self.n!r}")
         if not (math.isfinite(self.p_pr) and 0.0 < self.p_pr < 1.0):
             raise ValidationError(f"p_pr must lie in (0, 1), got {self.p_pr!r}")
@@ -113,7 +113,7 @@ def hazard_stage_surprise(spec: HazardSpec, t: int, params: ModelParams) -> floa
     -C * q**(alpha*(n-t+1)) is the kernel-weighted pair of jumps (survive
     vs lose) at that step.  Later steps are worse: the stake has grown.
     """
-    if not math.isfinite(t) or int(t) != t or not 1 <= t <= spec.n:
+    if not (is_whole(t) and 1 <= t <= spec.n):
         raise ValidationError(f"stage must be an integer in [1, {spec.n}], got {t!r}")
     q = 1.0 - spec.p
     c = _chain_constant(spec.p, params)
@@ -128,13 +128,18 @@ def hazard_total_surprise(spec: HazardSpec, params: ModelParams) -> float:
     Defined for real n >= 0, which is how fixed options at fractional
     delays are valued.
     """
-    q = 1.0 - spec.p
+    return _chain_sum(spec.p, spec.n, params)
+
+
+def _chain_sum(p: float, n: float, params: ModelParams) -> float:
+    """hazard_total_surprise on a checked hazard p and length n."""
+    q = 1.0 - p
     ap = params.alpha - 1.0
     denom = 1.0 - q**ap
     if denom == 0.0:
         raise ValidationError("q**(alpha-1) == 1; hazard probability too small to resolve")
-    c = _chain_constant(spec.p, params)
-    return -c * q ** (spec.n + ap) * (1.0 - q ** (spec.n * ap)) / denom
+    c = _chain_constant(p, params)
+    return -c * q ** (n + ap) * (1.0 - q ** (n * ap)) / denom
 
 
 def discount_factor(spec: HazardSpec, params: ModelParams) -> float:
@@ -202,7 +207,7 @@ def timing_components(spec: TimingRiskSpec, params: ModelParams) -> TimingCompon
     q = 1.0 - p
     m = p_tr + (1.0 - p_tr) * q * q
 
-    d_common = m**a * hazard_total_surprise(HazardSpec(p, n - 1), params)
+    d_common = m**a * _chain_sum(p, n - 1, params)
     d_tr0 = q ** (n - 1) * (1.0 - q * q) ** a * prob_only_surprise(p_tr, params)
     d_late = (
         p

@@ -66,6 +66,11 @@ class ModelParams:
             raise ValidationError("k1 and k2 must be non-negative")
 
 
+def is_whole(x: float) -> bool:
+    """Whether x is a finite whole number, such as 3 or 3.0."""
+    return math.isfinite(x) and x == int(x)
+
+
 def surprise_kernel(z: float, params: ModelParams) -> float:
     """Signed convex surprise of a single expectation error z.
 

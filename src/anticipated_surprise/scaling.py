@@ -13,7 +13,8 @@ import math
 from dataclasses import dataclass
 
 from .core import ModelParams, ValidationError
-from .tree import Branch, EvaluationResult, Internal, ResolutionNode, Terminal, _result, validate
+from .tree import (Branch, EvaluationResult, Internal, ResolutionNode, Terminal,
+                   ValidationReport, _result, validate)
 
 
 @dataclass(frozen=True)
@@ -113,6 +114,11 @@ def derive_transform(node: ResolutionNode, mode: ScalingMode) -> AffineTransform
     return _transform_for(report.payoff_min, report.payoff_max, mode)
 
 
+def reads_payoff_range(mode: ScalingMode) -> bool:
+    """Whether mode's transform depends on the tree's payoff range."""
+    return isinstance(mode, (FullScaling, PartialScaling))
+
+
 def _transform_for(lo: float, hi: float, mode: ScalingMode) -> AffineTransform:
     if isinstance(mode, NoScaling):
         return AffineTransform()
@@ -151,21 +157,29 @@ class ScaledEvaluation:
 
 
 def scaled_evaluation(
-    node: ResolutionNode, params: ModelParams, mode: ScalingMode
+    node: ResolutionNode,
+    params: ModelParams,
+    mode: ScalingMode,
+    report: ValidationReport | None = None,
 ) -> ScaledEvaluation:
     """Evaluate the normalized tree without building it: the surprise
     pass divides the raw jumps by the transform's scale.  The raw tree's
     own surprise and utility are never computed, so payoffs too large for
     them still evaluate once normalized.
+
+    A caller that has validated a tree containing node may pass its
+    ``report`` if mode reads no payoff range: node's conditional values
+    are in it, and its range is not node's own.
     """
-    report = validate(node)
+    if report is None:
+        report = validate(node)
     transform = _transform_for(report.payoff_min, report.payoff_max, mode)
     scaled = _result(node, report, params, transform.scale, transform.offset)
     return ScaledEvaluation(
         transform=transform,
         scaled=scaled,
         utility=transform.invert_utility(scaled.utility),
-        raw_expected_value=report.expected_value,
+        raw_expected_value=report.value_of(node),
     )
 
 

@@ -22,7 +22,7 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass, field
 from math import inf, isfinite
-from typing import Callable, Union
+from typing import Callable, Iterable, Union
 
 from .core import ModelParams, ValidationError, surprise_kernel, utility
 
@@ -81,6 +81,10 @@ class ValidationReport:
     conditional_values: dict[int, float] = field(
         default_factory=dict, repr=False, compare=False
     )
+
+    def value_of(self, node: ResolutionNode) -> float:
+        """Conditional expected value of node, a node of the validated tree."""
+        return node.payoff if isinstance(node, Terminal) else self.conditional_values[id(node)]
 
 
 @dataclass(frozen=True)
@@ -168,7 +172,7 @@ def validate(node: ResolutionNode) -> ValidationReport:
     report.node_count = count
     report.max_depth = max_depth
     report.payoff_min, report.payoff_max = lo, hi
-    report.expected_value = node.payoff if isinstance(node, Terminal) else values[id(node)]
+    report.expected_value = report.value_of(node)
     return report
 
 
@@ -206,7 +210,10 @@ def _stage_surprises(
             if isinstance(nd, Terminal):
                 continue
             saw_internal = True
-            total = sum(br.probability for br in nd.branches)
+            # _sum's loop, written out: a call per node costs more than the sum
+            total = 0.0
+            for br in nd.branches:
+                total += br.probability
             e_here = values[id(nd)]
             jump = 0.0
             for br in nd.branches:
@@ -237,11 +244,21 @@ def _result(
     """Evaluation of a validated tree, from its report, with every payoff
     x read as (x - offset) / scale.  Conditional values map the same way,
     so the offset cancels in each jump and the jumps are divided by scale;
-    the identity (1, 0) leaves every float as it is."""
+    the identity (1, 0) leaves every float as it is.  node may be any node
+    of the validated tree: its subtree is evaluated as a tree of its own."""
     surprises = _stage_surprises(node, report.conditional_values, params, scale)
-    u0 = (report.expected_value - offset) / scale
-    total = sum(surprises, 0.0)
+    u0 = (report.value_of(node) - offset) / scale
+    total = _sum(surprises)
     return EvaluationResult(u0, tuple(surprises), total, utility(u0, total, params))
+
+
+def _sum(values: Iterable[float]) -> float:
+    """Left-to-right float sum from 0.0, the same bits on every interpreter
+    (the built-in ``sum`` of floats compensates from Python 3.12 on)."""
+    total = 0.0
+    for value in values:
+        total += value
+    return total
 
 
 def collapse_deterministic(node: ResolutionNode) -> ResolutionNode:

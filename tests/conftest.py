@@ -11,6 +11,8 @@ from __future__ import annotations
 import random
 
 from anticipated_surprise import Branch, Internal, ModelParams, Terminal, surprise_kernel
+# left to right, so that a seed gives the same trees on every interpreter
+from anticipated_surprise.tree import _sum
 
 
 def _paths(node, prob=1.0, trail=()):
@@ -74,10 +76,10 @@ def random_tree(rng: random.Random, max_depth: int = 4, payoff_range=(-5.0, 5.0)
         return Terminal(rng.uniform(lo, hi))
     n_branches = rng.randint(2, 3)
     raw = [rng.uniform(0.05, 1.0) for _ in range(n_branches)]
-    total = sum(raw)
+    total = _sum(raw)
     probs = [w / total for w in raw]
     # nudge so the probabilities sum to 1.0 exactly in floating point
-    probs[-1] = 1.0 - sum(probs[:-1])
+    probs[-1] = 1.0 - _sum(probs[:-1])
     weight = rng.choice([1.0, 1.0, 1.0, rng.uniform(0.0, 3.0)])
     return Internal(
         tuple(

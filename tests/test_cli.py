@@ -1,9 +1,10 @@
 import json
 import math
+from dataclasses import replace
 
 import pytest
 
-from anticipated_surprise import ModelParams, build_binary_gamble, evaluate
+from anticipated_surprise import ModelParams, ValidationError, build_binary_gamble, evaluate
 from anticipated_surprise.cli import (
     FIGURE_FLAGS,
     FIGURES,
@@ -19,9 +20,11 @@ from anticipated_surprise.cli import (
     fmt,
     grid_points,
     main,
+    n_grid,
+    sweep_rows,
     timing_ratio_point,
 )
-from anticipated_surprise.scaling import NoScaling
+from anticipated_surprise.scaling import NoScaling, parse_scaling_mode
 
 
 def run(capsys, argv):
@@ -575,15 +578,17 @@ class TestHelpers:
     @pytest.mark.parametrize(
         "argv,walks",
         [
-            (["--scheme", "timing", "--p-tr", "0.5", "--k-tr", "10"], 5),
-            (["--scheme", "dual-a-after", "--p-pr", "0.7"], 15),
-            # scaled rows are no use to the unscaled ratio: it walks its own tree
-            (["--scheme", "timing", "--p-tr", "0.5", "--scaling", "full"], 10),
-            (["--scheme", "dual-a-after", "--p-pr", "0.7", "--scaling", "partial:0.5"], 20),
+            # one shared n-grid tree; the dual ratio adds U_t per row and U_p once
+            (["--scheme", "timing", "--p-tr", "0.5", "--k-tr", "10"], 1),
+            (["--scheme", "dual-a-after", "--p-pr", "0.7"], 7),
+            # a range-reading scaling walks each row's tree; the ratio's
+            # unscaled utilities still come from one shared tree
+            (["--scheme", "timing", "--p-tr", "0.5", "--scaling", "full"], 6),
+            (["--scheme", "dual-a-after", "--p-pr", "0.7", "--scaling", "partial:0.5"], 12),
         ],
     )
     def test_sweep_walks_each_tree_once_per_row(self, monkeypatch, capsys, argv, walks):
-        from anticipated_surprise import scaling, tree
+        from anticipated_surprise import cli, scaling, tree
 
         calls = []
         original = tree.validate
@@ -592,7 +597,7 @@ class TestHelpers:
             calls.append(node)
             return original(node)
 
-        for module in (tree, scaling):
+        for module in (tree, scaling, cli):
             monkeypatch.setattr(module, "validate", counting)
         code, out, _ = run(capsys, ["sweep", *argv, "--p", "0.03", "--target", "n",
                                     "--values", "2,3,4,5,6"])
@@ -603,3 +608,78 @@ class TestHelpers:
         point = SchemePoint("gamble", hi=10.0, lo=-10.0, p=0.5)
         u0, _, _ = evaluate_point(point, ModelParams(), NoScaling())
         assert u0 == 0.0
+
+
+#: A point of each scheme whose trees nest in n, all but n fixed.
+NESTING = {
+    "hazard": SchemePoint("hazard", p=0.03),
+    "timing": SchemePoint("timing", p=0.05, p_tr=0.3, k_tr=4.0),
+    "dual-a-after": SchemePoint("dual-a-after", p=0.03, p_pr=0.6),
+}
+
+
+class TestNGrid:
+    @pytest.mark.parametrize("mode", ["none", "scale:2", "full", "partial:0.5"])
+    @pytest.mark.parametrize("scheme", NESTING)
+    def test_grid_equals_point_by_point(self, scheme, mode):
+        fixed, first = NESTING[scheme], SCHEMES[scheme].nests_from
+        # unsorted, with a duplicate and the smallest valid n
+        ns = [first + 6, first, first + 2, first + 6, first + 1]
+        params, scaling = ModelParams(k2=10.0), parse_scaling_mode(mode)
+        points = [replace(fixed, n=n) for n in ns]
+        grid = n_grid(fixed, ns, params, scaling)
+        if mode in ("none", "scale:2"):
+            assert [grid[n] for n in ns] == [evaluate_point(pt, params, scaling) for pt in points]
+        else:
+            assert grid == {}
+        ratio = (timing_ratio_point if scheme == "timing"
+                 else lambda pt, params: dual_ratio_point(pt, params, 2.0))
+        _, rows = sweep_rows("n", [float(n) for n in ns], fixed, params, scaling, 2.0)
+        assert rows == [[n, *evaluate_point(pt, params, scaling),
+                         *([] if scheme == "hazard" else [ratio(pt, params)])]
+                        for n, pt in zip(ns, points)]
+
+    @pytest.mark.parametrize("scheme", [s for s in SCHEMES if "n" in SCHEMES[s].fields])
+    def test_descent_reaches_the_smaller_tree_iff_declared(self, scheme):
+        entry = SCHEMES[scheme]
+        point = SchemePoint(scheme, p=0.03, p_tr=0.3, k_tr=4.0, p_pr=0.6)
+        first = entry.nests_from or 2
+        trees = [entry.build(replace(point, n=n)) for n in range(first, first + 5)]
+        descents = [big.branches[-1].child == small for big, small in zip(trees[1:], trees)]
+        assert descents == [entry.nests_from is not None] * 4
+        if entry.nests_from is not None:
+            with pytest.raises(ValidationError):
+                entry.build(replace(point, n=first - 1))
+
+    def test_only_chains_over_an_n_free_base_nest(self):
+        nesting = [name for name, entry in SCHEMES.items() if entry.nests_from is not None]
+        assert nesting == list(NESTING)
+
+    @pytest.mark.parametrize(
+        "scheme,values,message",
+        [
+            *((s, "0,3", f"n must be an integer >= {SCHEMES[s].nests_from}, got 0") for s in NESTING),
+            *((s, "3,nan", "n grid values must be whole numbers, got nan") for s in NESTING),
+            *((s, "2.5", "n grid values must be whole numbers, got 2.5") for s in NESTING),
+            # the first bad value in list order wins
+            *((s, "0,2.5", f"n must be an integer >= {SCHEMES[s].nests_from}, got 0")
+              for s in NESTING),
+            ("hazard", "4,2.5,0", "n grid values must be whole numbers, got 2.5"),
+            ("timing", "1", "n must be an integer >= 2, got 1"),
+            ("timing", "5,1,3", "n must be an integer >= 2, got 1"),
+        ],
+    )
+    def test_bad_values_exit_2_naming_the_first(self, capsys, scheme, values, message):
+        fixed = NESTING[scheme]
+        argv = ["sweep", "--scheme", scheme, "--target", "n", "--values", values]
+        for name in SCHEMES[scheme].fields:
+            if name != "n":
+                argv += [flag(name), str(getattr(fixed, name))]
+        code, out, err = run(capsys, argv)
+        assert (code, out, err) == (2, "", f"error: {message}\n")
+
+    def test_failing_shared_pass_reports_the_first_failing_point(self, capsys):
+        argv = ["sweep", "--scheme", "hazard", "--p", "0.03", "--target", "n",
+                "--values", "3,5", "--scaling", "scale:1e-300"]
+        code, out, err = run(capsys, argv)
+        assert code == 2 and out == "" and err.startswith("error: numeric overflow")

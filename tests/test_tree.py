@@ -20,7 +20,7 @@ from anticipated_surprise import (
     tree_to_dict,
     validate,
 )
-from anticipated_surprise.scaling import NoScaling, scaled_evaluation
+from anticipated_surprise.scaling import FixedScale, NoScaling, scaled_evaluation
 from conftest import random_tree, trajectory_stage_surprises
 
 P = ModelParams()
@@ -265,6 +265,21 @@ class TestMartingaleAndDecomposition:
             assert result.total_surprise == pytest.approx(
                 sum(result.stage_surprises), abs=1e-12
             )
+
+    @pytest.mark.parametrize("scale", [1.0, 2.0])
+    def test_any_node_evaluates_from_the_whole_trees_report(self, scale):
+        """A subtree evaluated from the report of the tree holding it gives
+        the bits of the subtree evaluated on its own."""
+        rng, mode = random.Random(5), FixedScale(scale)
+        for _ in range(20):
+            tree = random_tree(rng, max_depth=4)
+            report = validate(tree)
+            stack = [tree]
+            while stack:
+                nd = stack.pop()
+                assert scaled_evaluation(nd, P, mode, report) == scaled_evaluation(nd, P, mode)
+                if isinstance(nd, Internal):
+                    stack.extend(br.child for br in nd.branches)
 
 
 class TestCollapse:
