@@ -27,7 +27,7 @@ import argparse
 import math
 import sys
 from dataclasses import dataclass, field, fields, replace
-from typing import Callable, Iterable, NamedTuple
+from typing import Callable, Iterator, NamedTuple, Sequence
 
 from .builders import (
     build_binary_gamble,
@@ -112,12 +112,12 @@ class Scheme(NamedTuple):
         order, its sweep targets and the only point flags it takes
     build: the point's tree
     column, ratio: its sweeps' ratio column, and
-        ratio(point, params, k2_prob, u or None, memo), memo being a dict
-        that lives for one sweep
+        ratio(point, params, k2_prob, u, memo), u being the point's unscaled
+        utility and memo a dict that lives for one sweep
     ratio_flags: the sweep flags that ratio reads
     nests_from: if its trees nest in n, the smallest n it takes; the tree
         at n + 1 is then one level whose last branch leads to the tree at
-        n (see n_grid)
+        n (see evaluate_grid)
     """
 
     fields: tuple[str, ...]
@@ -140,7 +140,7 @@ def _dual(build: Callable[[DualRiskSpec], ResolutionNode], scheme: DualScheme) -
 
 
 def _dual_sweep_ratio(point: SchemePoint, params: ModelParams, k2_prob: float,
-                      u: float | None, memo: dict) -> float:
+                      u: float, memo: dict) -> float:
     """A dual sweep row's ratio; U_p depends only on p_pr, so memo keeps it."""
     if point.p_pr not in memo:
         memo[point.p_pr] = gamble_utility(point.p_pr, params, k2_prob)
@@ -198,47 +198,41 @@ def evaluate_point(
     return result.raw_expected_value, result.scaled.total_surprise, result.utility
 
 
-def n_grid(
-    fixed: SchemePoint, ns: Iterable[float], params: ModelParams, mode: ScalingMode
-) -> dict[int, tuple[float, float, float]]:
-    """evaluate_point of fixed at each n of ns, keyed by n, from one build
-    and one validation: those of the tree at the largest n, N.
+def evaluate_grid(
+    fixed: SchemePoint, target: str, values: Sequence[float], params: ModelParams, mode: ScalingMode
+) -> Iterator[tuple[SchemePoint, tuple[float, float, float]]]:
+    """(point, evaluate_point(point, params, mode)) for fixed with its field
+    target set to each value, in list order; a bad value raises when reached.
 
-    Applies where fixed's scheme nests in n and mode reads no payoff range:
-    the tree at n is then the node N - n levels down the last branch of the
-    tree at N, whose report holds its conditional values.  Elsewhere, and
-    when the shared pass fails, it returns {}: the caller then evaluates
-    each point on its own, so the first bad point in list order reports.
-    It stops at the first value that is no valid n, which the caller's own
-    build of that point rejects.
+    Where target is n, fixed's scheme nests in n and mode reads no payoff
+    range, the leading values that are valid n share one build and one
+    validation: those of the tree at the largest of them, N.  The tree at n
+    is then the node N - n levels down the last branches of the tree at N,
+    whose report holds its conditional values.  The shared build waits for
+    the first point, whose own build would raise the same errors: none
+    depends on n.
     """
-    first = SCHEMES[fixed.scheme].nests_from
-    if first is None or reads_payoff_range(mode):
-        return {}
-    valid = []
-    for n in ns:
-        if not (is_whole(n) and n >= first):
-            break
-        valid.append(int(n))
-    if not valid:
-        return {}
-    depth, grid = max(valid), {}
-    try:
-        node = build_scheme_tree(replace(fixed, n=depth))
-        report = validate(node)
-        for n in sorted(set(valid), reverse=True):
-            for _ in range(depth - n):
-                node = node.branches[-1].child
-            depth = n
-            grid[n] = evaluate_point(replace(fixed, n=n), params, mode, node, report)
-    except (ValidationError, OverflowError):
-        return {}
-    return grid
-
-
-def _grid_utility(grid: dict[int, tuple[float, float, float]], n: int) -> float | None:
-    """The utility an n_grid holds at n, or None if it left n out."""
-    return grid[n][2] if n in grid else None
+    first = SCHEMES[fixed.scheme].nests_from if target == "n" else None
+    shared = 0
+    if first is not None and not reads_payoff_range(mode):
+        while shared < len(values) and is_whole(values[shared]) and values[shared] >= first:
+            shared += 1
+    attrs, spine = vars(fixed).copy(), []
+    for i, value in enumerate(values):
+        if target == "n":
+            value = whole(value, "n grid values must be whole numbers")
+        attrs[target] = value
+        point = SchemePoint(**attrs)
+        if i >= shared:
+            yield point, evaluate_point(point, params, mode)
+            continue
+        if not spine:
+            depth = int(max(values[:shared]))
+            spine = [build_scheme_tree(SchemePoint(**{**attrs, "n": depth}))]
+            report = validate(spine[0])
+            for _ in range(depth - int(min(values[:shared]))):
+                spine.append(spine[-1].branches[-1].child)
+        yield point, evaluate_point(point, params, mode, spine[depth - value], report)
 
 
 def _ratio(utility: float, reference: float, point: SchemePoint) -> float:
@@ -313,8 +307,15 @@ def cmd_eval(args: argparse.Namespace) -> int:
         "scaling": args.scaling, "u0": fmt(u0), "delta": fmt(delta), "utility": fmt(util),
     }
     print(",".join(row))
-    print(",".join(row.values()))
+    print(",".join(map(csv_field, row.values())))
     return 0
+
+
+def csv_field(text: str) -> str:
+    """text as one CSV field: quoted, quotes doubled, iff it holds , " CR or LF (RFC 4180)."""
+    if any(c in text for c in ',"\r\n'):
+        return '"' + text.replace('"', '""') + '"'
+    return text
 
 
 # --- figures ----------------------------------------------------------------
@@ -382,27 +383,20 @@ def figure_rows(fig_id: str, overrides: dict | None = None) -> tuple[list[str], 
 
     if fig_id in _HAZARD_FIGURES:
         header, columns = _HAZARD_FIGURES[fig_id]
-        grid = n_grid(SchemePoint("hazard", p=p), range(1, 51), params, NoScaling())
-        for steps in range(1, 51):
-            point = SchemePoint("hazard", p=p, n=steps)
-            _, delta, util = (grid[steps] if steps in grid
-                              else evaluate_point(point, params, NoScaling()))
-            rows.append([float(steps), *columns(steps, delta, util)])
+        grid = evaluate_grid(SchemePoint("hazard", p=p), "n", range(1, 51), params, NoScaling())
+        for point, (_, delta, util) in grid:
+            rows.append([float(point.n), *columns(point.n, delta, util)])
         return header, rows
 
     if fig_id in ("fig5-left", "fig5-right"):
-        # left: n = 2..12 at p_tr = 0.5, one n-grid per k_tr; right: the p_tr grid at n
+        # left: n = 2..12 at p_tr = 0.5; right: the p_tr grid at n; a grid per k_tr
         left = fig_id == "fig5-left"
-        xs = [float(m) for m in range(2, 13)] if left else grid_points(0.05, 0.95, 91)
-        grids = {k_tr: n_grid(SchemePoint("timing", p=p, p_tr=0.5, k_tr=k_tr),
-                              xs if left else (), params, NoScaling()) for k_tr in (10.0, 0.0)}
+        target, xs = ("n", range(2, 13)) if left else ("p_tr", grid_points(0.05, 0.95, 91))
+        grids = [evaluate_grid(SchemePoint("timing", p=p, n=n, p_tr=0.5, k_tr=k_tr),
+                               target, xs, params, NoScaling()) for k_tr in (10.0, 0.0)]
         for x in xs:
-            n_x, p_tr = (int(x), 0.5) if left else (n, x)
-            cells = []
-            for k_tr, grid in grids.items():
-                point = SchemePoint("timing", p=p, n=n_x, p_tr=p_tr, k_tr=k_tr)
-                cells.append(timing_ratio_point(point, params, _grid_utility(grid, n_x)))
-            rows.append([x, *cells])
+            cells = map(next, grids)
+            rows.append([float(x), *(timing_ratio_point(point, params, u) for point, (_, _, u) in cells)])
         return ["n" if left else "p_tr", "ratio_weighted", "ratio_unweighted"], rows
 
     if fig_id in ("fig7", "figA2"):
@@ -464,21 +458,15 @@ def sweep_rows(
     header = [target, "u0", "delta", "utility"]
     if entry.column is not None:
         header.append(entry.column)
-    ns = values if target == "n" else ()
-    grid = n_grid(fixed, ns, params, mode)
     # a ratio is made of unscaled utilities: the row's own if unscaled
     unscaled = isinstance(mode, NoScaling)
-    plain = {} if unscaled or entry.ratio is None else n_grid(fixed, ns, params, NoScaling())
+    plain = None if unscaled else evaluate_grid(fixed, target, values, params, NoScaling())
     memo: dict = {}
     rows = []
-    for value in values:
-        if target == "n":
-            value = whole(value, "n grid values must be whole numbers")
-        point = replace(fixed, **{target: value})
-        u0, delta, util = grid[value] if value in grid else evaluate_point(point, params, mode)
-        row = [value, u0, delta, util]
+    for point, (u0, delta, util) in evaluate_grid(fixed, target, values, params, mode):
+        row = [getattr(point, target), u0, delta, util]
         if entry.ratio is not None:
-            u = util if unscaled else _grid_utility(plain, value)
+            u = util if unscaled else next(plain)[1][2]
             row.append(entry.ratio(point, params, k2_prob, u, memo))
         rows.append(row)
     return header, rows

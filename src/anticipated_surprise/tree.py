@@ -364,9 +364,13 @@ def load_tree(path: str) -> ResolutionNode:
     """Read a tree-specification file and validate it."""
     with open(path, encoding="utf-8") as fh:
         try:
-            node = tree_from_dict(json.load(fh))
+            # an integer reads as the float it rounds to (inf past the range,
+            # as 1e400 does), not as an int that no float holds
+            node = tree_from_dict(json.load(fh, parse_int=float))
         except json.JSONDecodeError as exc:
             raise ValidationError(f"{path}: not valid JSON: {exc}") from exc
+        except UnicodeDecodeError as exc:
+            raise ValidationError(f"{path}: not UTF-8 text: {exc.reason}") from None
         except RecursionError:
             # both the JSON parser and tree_from_dict recurse per level
             raise ValidationError(f"{path}: tree nested too deep to parse") from None

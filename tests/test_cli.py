@@ -1,3 +1,4 @@
+import itertools
 import json
 import math
 from dataclasses import replace
@@ -14,13 +15,13 @@ from anticipated_surprise.cli import (
     _params_from,
     build_parser,
     dual_ratio_point,
+    evaluate_grid,
     evaluate_point,
     figure_rows,
     flag,
     fmt,
     grid_points,
     main,
-    n_grid,
     sweep_rows,
     timing_ratio_point,
 )
@@ -186,6 +187,64 @@ class TestEval:
         code, out, err = run(capsys, ["eval", "--scheme", f"tree:{path}"])
         assert code == 2 and out == ""
         assert err == f"error: {path}: tree nested too deep to parse\n"
+
+    def test_tree_file_not_utf8_is_validation_failure(self, capsys, tmp_path):
+        path = tmp_path / "latin1.json"
+        path.write_bytes('{"caf\u00e9": 1.0}'.encode("latin-1"))
+        code, out, err = run(capsys, ["eval", "--scheme", f"tree:{path}"])
+        assert (code, out, err) == (2, "", f"error: {path}: not UTF-8 text: invalid continuation byte\n")
+
+    def test_tree_file_integer_past_int_digit_limit_is_validation_failure(self, capsys, tmp_path):
+        # int() refuses literals over 4,300 digits; read as a float it is inf
+        path = tmp_path / "long.json"
+        path.write_text('{"payoff": ' + "1" * 5000 + "}")
+        code, out, err = run(capsys, ["eval", "--scheme", f"tree:{path}"])
+        assert (code, out, err) == (2, "", "error: root: payoff must be finite, got inf\n")
+
+    @pytest.mark.parametrize(
+        "text,message",
+        [
+            ('{"payoff": 1%s}', "root: payoff must be finite, got inf"),
+            ('{"payoff": -1%s}', "root: payoff must be finite, got -inf"),
+            ('{"branches": [{"p": 1%s, "node": {"payoff": 1}}]}',
+             "root.branches[0]: probability must lie in (0, 1], got inf"),
+            ('{"branches": [{"p": 1, "node": {"payoff": 1}}], "weight": 1%s}',
+             "root: surprise_weight must be finite and >= 0, got inf"),
+        ],
+    )
+    def test_tree_file_integer_past_float_range_is_validation_failure(
+        self, capsys, tmp_path, text, message
+    ):
+        path = tmp_path / "huge.json"
+        path.write_text(text % ("0" * 400))
+        code, out, err = run(capsys, ["eval", "--scheme", f"tree:{path}"])
+        assert (code, out, err) == (2, "", f"error: {message}\n")
+
+    def test_integer_payoffs_read_as_the_floats_they_round_to(self, capsys, tmp_path):
+        def row(text):
+            path = tmp_path / "tree.json"
+            path.write_text(text)
+            code, out, _ = run(capsys, ["eval", "--scheme", f"tree:{path}", "--scaling", "full"])
+            assert code == 0
+            return out.split("\n")[1].split(",", 1)[1]
+
+        big = 2**60 + 1  # rounds to 2**60 as a float
+        ints = '{"branches": [{"p": 0.5, "node": {"payoff": %d}}, {"p": 0.5, "node": {"payoff": 1}}]}'
+        floats = '{"branches": [{"p": 0.5, "node": {"payoff": %r}}, {"p": 0.5, "node": {"payoff": 1.0}}]}'
+        assert row(ints % big) == row(floats % float(big))
+
+    @pytest.mark.parametrize("name,field", [("a,b.json", '"tree:a,b.json"'),
+                                            ('say "hi".json', '"tree:say ""hi"".json"')])
+    def test_eval_quotes_a_field_holding_a_comma_or_quote(self, capsys, tmp_path, monkeypatch,
+                                                          name, field):
+        import csv
+
+        monkeypatch.chdir(tmp_path)
+        (tmp_path / name).write_text('{"payoff": 0.5}')
+        code, out, _ = run(capsys, ["eval", "--scheme", f"tree:{name}"])
+        assert code == 0 and out.split("\n")[1].startswith(field + ",")
+        header, row = csv.reader(out.splitlines())
+        assert len(row) == len(header) == 17 and row[0] == f"tree:{name}"
 
 
 class TestFigures:
@@ -530,6 +589,22 @@ class TestUndefinedRatio:
         assert err == "error: ratio undefined at p=0.99, n=400: its reference utility underflows to 0\n"
 
 
+def count_walks(monkeypatch) -> list:
+    """The list each validation walk from now on appends its tree to."""
+    from anticipated_surprise import cli, scaling, tree
+
+    calls = []
+    original = tree.validate
+
+    def counting(node):
+        calls.append(node)
+        return original(node)
+
+    for module in (tree, scaling, cli):
+        monkeypatch.setattr(module, "validate", counting)
+    return calls
+
+
 class TestHelpers:
     def test_timing_ratio_point_matches_library(self):
         from anticipated_surprise import TimingRiskSpec, timing_ratio
@@ -588,20 +663,24 @@ class TestHelpers:
         ],
     )
     def test_sweep_walks_each_tree_once_per_row(self, monkeypatch, capsys, argv, walks):
-        from anticipated_surprise import cli, scaling, tree
-
-        calls = []
-        original = tree.validate
-
-        def counting(node):
-            calls.append(node)
-            return original(node)
-
-        for module in (tree, scaling, cli):
-            monkeypatch.setattr(module, "validate", counting)
+        calls = count_walks(monkeypatch)
         code, out, _ = run(capsys, ["sweep", *argv, "--p", "0.03", "--target", "n",
                                     "--values", "2,3,4,5,6"])
         assert code == 0 and len(out.strip().split("\n")) == 6
+        assert len(calls) == walks
+
+    @pytest.mark.parametrize(
+        "fig_id,walks",
+        [
+            # one shared n-grid tree, for fig5-left one per k_tr
+            ("fig3-left", 1), ("fig3-right", 1), ("figA1", 1), ("fig5-left", 2),
+            # a p_tr grid shares nothing: 91 points at each of two k_tr
+            ("fig5-right", 182),
+        ],
+    )
+    def test_figure_walks_each_tree_once_per_grid(self, monkeypatch, fig_id, walks):
+        calls = count_walks(monkeypatch)
+        figure_rows(fig_id)
         assert len(calls) == walks
 
     def test_evaluate_point_u0_is_raw(self):
@@ -627,17 +706,27 @@ class TestNGrid:
         ns = [first + 6, first, first + 2, first + 6, first + 1]
         params, scaling = ModelParams(k2=10.0), parse_scaling_mode(mode)
         points = [replace(fixed, n=n) for n in ns]
-        grid = n_grid(fixed, ns, params, scaling)
-        if mode in ("none", "scale:2"):
-            assert [grid[n] for n in ns] == [evaluate_point(pt, params, scaling) for pt in points]
-        else:
-            assert grid == {}
+        grid = evaluate_grid(fixed, "n", [float(n) for n in ns], params, scaling)
+        assert list(grid) == [(pt, evaluate_point(pt, params, scaling)) for pt in points]
         ratio = (timing_ratio_point if scheme == "timing"
                  else lambda pt, params: dual_ratio_point(pt, params, 2.0))
         _, rows = sweep_rows("n", [float(n) for n in ns], fixed, params, scaling, 2.0)
         assert rows == [[n, *evaluate_point(pt, params, scaling),
                          *([] if scheme == "hazard" else [ratio(pt, params)])]
                         for n, pt in zip(ns, points)]
+
+    def test_points_before_a_bad_value_are_yielded_first(self):
+        grid = evaluate_grid(NESTING["hazard"], "n", [3.0, 5.0, 0.0, 4.0], ModelParams(), NoScaling())
+        assert [point.n for point, _ in itertools.islice(grid, 2)] == [3, 5]
+        with pytest.raises(ValidationError, match="n must be an integer >= 1, got 0"):
+            next(grid)
+
+    def test_other_targets_evaluate_point_by_point(self):
+        fixed = SchemePoint("timing", p=0.05, n=6, k_tr=4.0)
+        values = [0.1, 0.5, 0.9]
+        grid = evaluate_grid(fixed, "p_tr", values, ModelParams(), NoScaling())
+        points = [replace(fixed, p_tr=v) for v in values]
+        assert list(grid) == [(pt, evaluate_point(pt, ModelParams(), NoScaling())) for pt in points]
 
     @pytest.mark.parametrize("scheme", [s for s in SCHEMES if "n" in SCHEMES[s].fields])
     def test_descent_reaches_the_smaller_tree_iff_declared(self, scheme):

@@ -6,11 +6,18 @@ the values in its first column; the test only reads that directory.
 ``tests/goldens/eval.json`` maps a case name to an ``eval`` argv and its
 stdout: every built-in scheme, each ``--scaling`` form, the exponential
 modulation and the tree file next to it (paths relative to that folder).
+``tests/goldens/sweep.json`` maps a case name to a ``sweep`` argv and its
+exit code, stdout and stderr: n-sweeps of the schemes whose trees nest
+in n under each ``--scaling`` form, sweeps of other targets, and value
+lists that fail, so the failure each reports is pinned too.
+
+    PYTHONPATH=src python tests/test_goldens.py --capture  # rewrite sweep.json's outputs
 """
 
 import contextlib
 import io
 import json
+import sys
 from pathlib import Path
 
 import pytest
@@ -20,6 +27,8 @@ from anticipated_surprise.cli import FIGURES, main
 GOLDENS = Path(__file__).resolve().parent.parent / "bench" / "goldens"
 EVAL_GOLDENS = Path(__file__).resolve().parent / "goldens"
 EVAL_CASES = json.loads((EVAL_GOLDENS / "eval.json").read_text(encoding="utf-8"))
+SWEEP_GOLDEN = EVAL_GOLDENS / "sweep.json"
+SWEEP_CASES = json.loads(SWEEP_GOLDEN.read_text(encoding="utf-8"))
 
 #: Sweep golden -> the sweep that produced it, without its --values.
 SWEEPS = {
@@ -34,6 +43,14 @@ def cli_stdout(argv: list[str]) -> str:
     with contextlib.redirect_stdout(out):
         assert main(argv) == 0
     return out.getvalue()
+
+
+def cli_run(argv: list[str]) -> dict:
+    """argv's exit code, stdout and stderr."""
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = main(argv)
+    return {"code": code, "stdout": out.getvalue(), "stderr": err.getvalue()}
 
 
 @pytest.mark.parametrize("fig_id", FIGURES)
@@ -54,3 +71,15 @@ def test_eval_matches_golden(name, monkeypatch):
     monkeypatch.chdir(EVAL_GOLDENS)
     case = EVAL_CASES[name]
     assert cli_stdout(case["argv"]) == case["stdout"]
+
+
+@pytest.mark.parametrize("name", SWEEP_CASES)
+def test_sweep_matches_golden(name):
+    case = SWEEP_CASES[name]
+    assert {"argv": case["argv"], **cli_run(case["argv"])} == case
+
+
+if __name__ == "__main__" and sys.argv[1:] == ["--capture"]:
+    rows = [f"{json.dumps(name)}: {json.dumps({'argv': case['argv'], **cli_run(case['argv'])})}"
+            for name, case in SWEEP_CASES.items()]
+    SWEEP_GOLDEN.write_text("{\n" + ",\n".join(rows) + "\n}\n", encoding="utf-8")
