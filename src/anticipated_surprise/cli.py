@@ -113,7 +113,7 @@ class Scheme(NamedTuple):
     build: the point's tree
     column, ratio: its sweeps' ratio column, and
         ratio(point, params, k2_prob, u, memo), u being the point's unscaled
-        utility and memo a dict that lives for one sweep
+        utility and memo a dict that lives for one sweep (see dual_ratio_point)
     ratio_flags: the sweep flags that ratio reads
     nests_from: if its trees nest in n, the smallest n it takes; the tree
         at n + 1 is then one level whose last branch leads to the tree at
@@ -134,17 +134,9 @@ def _dual(build: Callable[[DualRiskSpec], ResolutionNode], scheme: DualScheme) -
         ("p", "n", "p_pr"),
         lambda pt: build(DualRiskSpec(pt.p, pt.n, pt.p_pr, scheme)),
         "discount_ratio",
-        _dual_sweep_ratio,
+        lambda pt, params, k2_prob, u, memo: dual_ratio_point(pt, params, k2_prob, u, memo),
         ("k2_prob",),
     )
-
-
-def _dual_sweep_ratio(point: SchemePoint, params: ModelParams, k2_prob: float,
-                      u: float, memo: dict) -> float:
-    """A dual sweep row's ratio; U_p depends only on p_pr, so memo keeps it."""
-    if point.p_pr not in memo:
-        memo[point.p_pr] = gamble_utility(point.p_pr, params, k2_prob)
-    return dual_ratio_point(point, params, k2_prob, u_p=memo[point.p_pr], u_pt=u)
 
 
 # Entries call builders and ratio helpers by their module-level names at
@@ -243,51 +235,41 @@ def _ratio(utility: float, reference: float, point: SchemePoint) -> float:
     return utility / reference
 
 
-def timing_ratio_point(point: SchemePoint, params: ModelParams, u_tr: float | None = None) -> float:
+def timing_ratio_point(point: SchemePoint, params: ModelParams, u: float | None = None) -> float:
     """Tree-based timing-lottery utility over the fixed-delay closed form.
 
     A caller that has already evaluated the point unscaled may pass its
-    utility ``u_tr``.
+    utility ``u``.
     """
-    if u_tr is None:
-        u_tr = evaluate_point(point, params, NoScaling())[2]
+    if u is None:
+        u = evaluate_point(point, params, NoScaling())[2]
     spec = TimingRiskSpec(point.p, point.n, point.p_tr, point.k_tr)
-    return _ratio(u_tr, discount_factor(HazardSpec(spec.p, mean_delay(spec)), params), point)
+    return _ratio(u, discount_factor(HazardSpec(spec.p, mean_delay(spec)), params), point)
 
 
-def hazard_utility(p: float | None, n: int | None, params: ModelParams) -> float:
-    """U_t of the dual ratio: the plain hazard chain at p and n."""
-    return evaluate_point(SchemePoint("hazard", p=p, n=n), params, NoScaling())[2]
-
-
-def gamble_utility(p_pr: float | None, params: ModelParams, k2_prob: float) -> float:
-    """U_p of the dual ratio: the unit gamble won with probability p_pr,
-    at the probability-only gain k2_prob."""
-    gamble = SchemePoint("gamble", hi=1.0, lo=0.0, p=p_pr)
-    return evaluate_point(gamble, replace(params, k2=k2_prob), NoScaling())[2]
-
-
-def dual_ratio_point(
-    point: SchemePoint,
-    params: ModelParams,
-    k2_prob: float,
-    u_t: float | None = None,
-    u_p: float | None = None,
-    u_pt: float | None = None,
-) -> float:
+def dual_ratio_point(point: SchemePoint, params: ModelParams, k2_prob: float,
+                     u: float | None = None, memo: dict | None = None) -> float:
     """Tree-based discount ratio U_pt / (U_p * U_t).
 
-    Callers that share a denominator between points with the same p and
-    n (``u_t``) or p_pr (``u_p``) may pass it in, and a caller that has
-    already evaluated the point unscaled may pass its utility ``u_pt``.
+    U_t is the plain hazard chain at p and n, and U_p the unit gamble won
+    with probability p_pr at the probability-only gain k2_prob.  memo, a
+    dict that lives for one sweep or one figure (one params and k2_prob),
+    keeps each under (p, n) and p_pr once evaluated.  A caller that has
+    already evaluated the point unscaled may pass its utility ``u`` (U_pt).
     """
+    if memo is None:
+        memo = {}
+    u_t = memo.get((point.p, point.n))
     if u_t is None:
-        u_t = hazard_utility(point.p, point.n, params)
+        hazard = SchemePoint("hazard", p=point.p, n=point.n)
+        u_t = memo[point.p, point.n] = evaluate_point(hazard, params, NoScaling())[2]
+    u_p = memo.get(point.p_pr)
     if u_p is None:
-        u_p = gamble_utility(point.p_pr, params, k2_prob)
-    if u_pt is None:
-        u_pt = evaluate_point(point, params, NoScaling())[2]
-    return _ratio(u_pt, u_p * u_t, point)
+        gamble = SchemePoint("gamble", hi=1.0, lo=0.0, p=point.p_pr)
+        u_p = memo[point.p_pr] = evaluate_point(gamble, replace(params, k2=k2_prob), NoScaling())[2]
+    if u is None:
+        u = evaluate_point(point, params, NoScaling())[2]
+    return _ratio(u, u_p * u_t, point)
 
 
 # --- eval -------------------------------------------------------------------
@@ -400,14 +382,13 @@ def figure_rows(fig_id: str, overrides: dict | None = None) -> tuple[list[str], 
         return ["n" if left else "p_tr", "ratio_weighted", "ratio_unweighted"], rows
 
     if fig_id in ("fig7", "figA2"):
-        k2_prob = v["k2_prob"]
         xs = grid_points(0.3, 0.99, 70) if fig_id == "fig7" else grid_points(0.05, 0.99, 95)
-        u_t = hazard_utility(p, n, params)
+        memo: dict = {}
         for p_pr in xs:
-            u_p = gamble_utility(p_pr, params, k2_prob)
             points = [SchemePoint(s, p=p, n=n, p_pr=p_pr)
                       for s in ("dual-a-after", "dual-a-before", "dual-b")]
-            rows.append([p_pr, *(dual_ratio_point(pt, params, k2_prob, u_t, u_p) for pt in points)])
+            rows.append([p_pr, *(dual_ratio_point(pt, params, v["k2_prob"], memo=memo)
+                                 for pt in points)])
         return ["p_pr", "ratio_separate_after", "ratio_separate_before", "ratio_incorporated"], rows
 
     # figA3: the full range is [0, 1/p]; partial divides by (1/p)**(1/alpha)

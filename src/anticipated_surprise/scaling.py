@@ -13,8 +13,8 @@ import math
 from dataclasses import dataclass
 
 from .core import ModelParams, ValidationError
-from .tree import (Branch, EvaluationResult, Internal, ResolutionNode, Terminal,
-                   ValidationReport, _result, validate)
+from .tree import (EvaluationResult, ResolutionNode, Terminal, ValidationReport, _fold, _rebuilt,
+                   _result, validate)
 
 
 @dataclass(frozen=True)
@@ -137,12 +137,7 @@ def transform_payoffs(node: ResolutionNode, transform: AffineTransform) -> Resol
     Evaluation never needs the copy (see ``scaled_evaluation``); it is the
     reference that the analytic scaling is tested against.
     """
-    if isinstance(node, Terminal):
-        return Terminal(transform.apply(node.payoff))
-    return Internal(
-        tuple(Branch(br.probability, transform_payoffs(br.child, transform)) for br in node.branches),
-        node.surprise_weight,
-    )
+    return _fold(node, lambda leaf: Terminal(transform.apply(leaf.payoff)), _rebuilt)
 
 
 @dataclass(frozen=True)

@@ -273,8 +273,11 @@ def collapse_deterministic(node: ResolutionNode) -> ResolutionNode:
 
 
 def _collapsed(node: Internal, children: list) -> ResolutionNode:
-    if len(children) == 1:
-        return children[0]
+    return children[0] if len(children) == 1 else _rebuilt(node, children)
+
+
+def _rebuilt(node: Internal, children: list) -> Internal:
+    """node with its branches' children replaced by children, in branch order."""
     branches = tuple(Branch(br.probability, c) for br, c in zip(node.branches, children))
     return Internal(branches, node.surprise_weight)
 
@@ -318,7 +321,10 @@ def tree_from_dict(obj: object, path: str = "root") -> ResolutionNode:
             raise ValidationError(f"{path}: payoff must be a number, got {payoff!r}")
         if len(obj) != 1:
             raise _unknown_keys(obj, ("payoff",), path)
-        return Terminal(float(payoff))
+        try:
+            return Terminal(float(payoff))
+        except OverflowError:  # an int no float holds; too long, maybe, to repr
+            raise ValidationError(f"{path}: payoff is an integer past the float range") from None
     if "branches" not in obj:
         raise ValidationError(f"{path}: node needs either 'payoff' or 'branches'")
     raw = obj["branches"]
@@ -336,11 +342,18 @@ def tree_from_dict(obj: object, path: str = "root") -> ResolutionNode:
             raise ValidationError(f"{where}: 'p' must be a number, got {prob!r}")
         if len(entry) != 2:
             raise _unknown_keys(entry, ("p", "node"), where)
-        branches.append(Branch(float(prob), tree_from_dict(entry["node"], where)))
+        try:
+            prob = float(prob)
+        except OverflowError:
+            raise ValidationError(f"{where}: 'p' is an integer past the float range") from None
+        branches.append(Branch(prob, tree_from_dict(entry["node"], where)))
     weight = obj.get("weight", 1.0)
     if not isinstance(weight, (int, float)) or isinstance(weight, bool):
         raise ValidationError(f"{path}: 'weight' must be a number, got {weight!r}")
-    return Internal(tuple(branches), float(weight))
+    try:
+        return Internal(tuple(branches), float(weight))
+    except OverflowError:
+        raise ValidationError(f"{path}: 'weight' is an integer past the float range") from None
 
 
 def _unknown_keys(obj: dict, allowed: tuple[str, ...], path: str) -> ValidationError:

@@ -175,6 +175,10 @@ class TestEval:
         code, _, err = run(capsys, ["eval", "--scheme", "lottery"])
         assert code == 2 and "unknown scheme" in err
 
+    def test_tree_scheme_without_path_exits_2(self, capsys):
+        code, out, err = run(capsys, ["eval", "--scheme", "tree:"])
+        assert (code, out, err) == (2, "", "error: tree scheme needs a path: tree:<path>\n")
+
     def test_missing_tree_file_is_io_failure(self, capsys):
         code, _, err = run(capsys, ["eval", "--scheme", "tree:/no/such/file.json"])
         assert code == 1
@@ -668,6 +672,15 @@ class TestHelpers:
                                     "--values", "2,3,4,5,6"])
         assert code == 0 and len(out.strip().split("\n")) == 6
         assert len(calls) == walks
+
+    @pytest.mark.parametrize("scheme", ["dual-a-after", "dual-b"])
+    def test_p_pr_sweep_walks_the_hazard_denominator_once(self, monkeypatch, capsys, scheme):
+        # a tree per row, U_p per distinct p_pr, and U_t once at the one (p, n)
+        calls = count_walks(monkeypatch)
+        code, out, _ = run(capsys, ["sweep", "--scheme", scheme, "--p", "0.03", "--n", "4",
+                                    "--target", "p-pr", "--values", "0.3,0.5,0.7,0.8,0.9"])
+        assert code == 0 and len(out.strip().split("\n")) == 6
+        assert len(calls) == 11
 
     @pytest.mark.parametrize(
         "fig_id,walks",

@@ -9,20 +9,26 @@ modulation and the tree file next to it (paths relative to that folder).
 ``tests/goldens/sweep.json`` maps a case name to a ``sweep`` argv and its
 exit code, stdout and stderr: n-sweeps of the schemes whose trees nest
 in n under each ``--scaling`` form, sweeps of other targets, and value
-lists that fail, so the failure each reports is pinned too.
+lists and grid specs that fail, so the failure each reports is pinned too.
+The check needs no pytest:
 
+    PYTHONPATH=src python tests/test_goldens.py            # exit 1 on drift
     PYTHONPATH=src python tests/test_goldens.py --capture  # rewrite sweep.json's outputs
 """
 
 import contextlib
 import io
 import json
+import os
 import sys
 from pathlib import Path
 
-import pytest
-
 from anticipated_surprise.cli import FIGURES, main
+
+try:
+    from pytest import mark
+except ImportError:  # run as a script
+    mark = None
 
 GOLDENS = Path(__file__).resolve().parent.parent / "bench" / "goldens"
 EVAL_GOLDENS = Path(__file__).resolve().parent / "goldens"
@@ -38,48 +44,99 @@ SWEEPS = {
 SWEEPS["p_n400"] = ["sweep", "--scheme", "hazard", "--n", "400", "--k2", "10", "--target", "p"]
 
 
-def cli_stdout(argv: list[str]) -> str:
-    out = io.StringIO()
-    with contextlib.redirect_stdout(out):
-        assert main(argv) == 0
-    return out.getvalue()
-
-
 def cli_run(argv: list[str]) -> dict:
-    """argv's exit code, stdout and stderr."""
-    out, err = io.StringIO(), io.StringIO()
-    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
-        code = main(argv)
+    """argv's exit code, stdout and stderr, run in the folder of eval's tree file."""
+    out, err, cwd = io.StringIO(), io.StringIO(), os.getcwd()
+    os.chdir(EVAL_GOLDENS)
+    try:
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            code = main(argv)
+    finally:
+        os.chdir(cwd)
     return {"code": code, "stdout": out.getvalue(), "stderr": err.getvalue()}
 
 
-@pytest.mark.parametrize("fig_id", FIGURES)
-def test_figure_matches_golden(fig_id):
+def succeeds(stdout: str) -> dict:
+    return {"code": 0, "stdout": stdout, "stderr": ""}
+
+
+def figure_case(fig_id: str) -> tuple[list[str], dict]:
+    """A golden's argv and the run it must give."""
     golden = (GOLDENS / "figures" / f"{fig_id}.csv").read_text(encoding="utf-8")
-    assert cli_stdout(["figure", fig_id, "--out", "-"]) == golden
+    return ["figure", fig_id, "--out", "-"], succeeds(golden)
 
 
-@pytest.mark.parametrize("name", sorted(SWEEPS))
-def test_deep_sweep_matches_golden(name):
+def deep_sweep_case(name: str) -> tuple[list[str], dict]:
     golden = (GOLDENS / "deep-sweep" / f"{name}.csv").read_text(encoding="utf-8")
     values = ",".join(line.split(",", 1)[0] for line in golden.splitlines()[1:])
-    assert cli_stdout([*SWEEPS[name], "--values", values]) == golden
+    return [*SWEEPS[name], "--values", values], succeeds(golden)
 
 
-@pytest.mark.parametrize("name", EVAL_CASES)
-def test_eval_matches_golden(name, monkeypatch):
-    monkeypatch.chdir(EVAL_GOLDENS)
-    case = EVAL_CASES[name]
-    assert cli_stdout(case["argv"]) == case["stdout"]
+def eval_case(name: str) -> tuple[list[str], dict]:
+    return EVAL_CASES[name]["argv"], succeeds(EVAL_CASES[name]["stdout"])
 
 
-@pytest.mark.parametrize("name", SWEEP_CASES)
-def test_sweep_matches_golden(name):
+def sweep_case(name: str) -> tuple[list[str], dict]:
     case = SWEEP_CASES[name]
-    assert {"argv": case["argv"], **cli_run(case["argv"])} == case
+    return case["argv"], {key: case[key] for key in ("code", "stdout", "stderr")}
 
 
-if __name__ == "__main__" and sys.argv[1:] == ["--capture"]:
-    rows = [f"{json.dumps(name)}: {json.dumps({'argv': case['argv'], **cli_run(case['argv'])})}"
-            for name, case in SWEEP_CASES.items()]
-    SWEEP_GOLDEN.write_text("{\n" + ",\n".join(rows) + "\n}\n", encoding="utf-8")
+#: Each kind of golden and its case names.
+CASES = {
+    figure_case: list(FIGURES),
+    deep_sweep_case: sorted(SWEEPS),
+    eval_case: list(EVAL_CASES),
+    sweep_case: list(SWEEP_CASES),
+}
+
+
+def each(argname: str, case):
+    """pytest's parametrize over case's names; a script leaves the test as it is."""
+    return (lambda test: test) if mark is None else mark.parametrize(argname, CASES[case])
+
+
+@each("fig_id", figure_case)
+def test_figure_matches_golden(fig_id):
+    argv, want = figure_case(fig_id)
+    assert cli_run(argv) == want
+
+
+@each("name", deep_sweep_case)
+def test_deep_sweep_matches_golden(name):
+    argv, want = deep_sweep_case(name)
+    assert cli_run(argv) == want
+
+
+@each("name", eval_case)
+def test_eval_matches_golden(name):
+    argv, want = eval_case(name)
+    assert cli_run(argv) == want
+
+
+@each("name", sweep_case)
+def test_sweep_matches_golden(name):
+    argv, want = sweep_case(name)
+    assert cli_run(argv) == want
+
+
+def drift() -> list[str]:
+    """Every case whose run differs from its golden."""
+    bad = []
+    for case, names in CASES.items():
+        for name in names:
+            argv, want = case(name)
+            if cli_run(argv) != want:
+                bad.append(f"{case.__name__}[{name}]")
+    return bad
+
+
+if __name__ == "__main__":
+    if sys.argv[1:] == ["--capture"]:
+        rows = [f"{json.dumps(name)}: {json.dumps({'argv': case['argv'], **cli_run(case['argv'])})}"
+                for name, case in SWEEP_CASES.items()]
+        SWEEP_GOLDEN.write_text("{\n" + ",\n".join(rows) + "\n}\n", encoding="utf-8")
+        sys.exit(0)
+    bad = drift()
+    total = sum(map(len, CASES.values()))
+    print(f"{len(bad)} of {total} goldens drift" + (f": {', '.join(bad[:10])}" if bad else ""))
+    sys.exit(1 if bad else 0)

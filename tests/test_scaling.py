@@ -203,6 +203,15 @@ class TestEvaluateScaled:
         payoffs = sorted(br.child.payoff for br in scaled.branches)
         assert payoffs == [0.0, 1.0]
 
+    def test_transform_payoffs_deep_chain(self):
+        # an iterative fold, as evaluate is: 3,000 levels pass the recursion limit
+        tree = build_hazard_chain(0.03, 3_000)
+        params = ModelParams(k2=10.0)
+        got = scaled_evaluation(tree, params, FixedScale(4.0))
+        ref = evaluate(transform_payoffs(tree, got.transform), params)
+        assert math.isclose(got.scaled.total_surprise, ref.total_surprise, rel_tol=1e-12)
+        assert math.isclose(got.scaled.utility, ref.utility, rel_tol=1e-12)
+
 
 UNKNOWN = "; expected none, full, partial:<gamma> or scale:<s>"
 #: Rejected scaling specs and the messages they must keep.

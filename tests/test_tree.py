@@ -74,6 +74,10 @@ class TestValidation:
         with pytest.raises(ValidationError, match="at least one branch"):
             validate(Internal(()))
 
+    def test_rejects_branch_to_a_non_node(self):
+        with pytest.raises(ValidationError, match=r"^root\.branches\[1\]: not a resolution node: 'x'$"):
+            validate(Internal((Branch(0.5, Terminal(1.0)), Branch(0.5, "x"))))
+
     def test_near_one_sum_renormalized(self):
         # off by 2e-13: inside tolerance, recorded and renormalized
         node = Internal((Branch(0.5, Terminal(1.0)), Branch(0.5 + 2e-13, Terminal(0.0))))
@@ -367,6 +371,26 @@ class TestFileFormat:
                 {"branches": [{"p": 1.0, "node": {"branches": [
                     {"p": 1.0, "node": {"payoff": 0.0, "note": "x"}}]}}]},
                 r"^root\.branches\[0\]\.branches\[0\]: unknown key 'note'",
+            ),
+            ([], "^root: expected an object, got list$"),
+            (
+                {"branches": [{"p": "0.5", "node": {"payoff": 0.0}}]},
+                r"^root\.branches\[0\]: 'p' must be a number, got '0.5'$",
+            ),
+            # an int past the float range, named by path but not printed:
+            # repr of an int over 4,300 digits raises ValueError
+            (
+                {"branches": [{"p": 1.0, "node": {"payoff": 10**400}}]},
+                r"^root\.branches\[0\]: payoff is an integer past the float range$",
+            ),
+            ({"payoff": -(10**4999)}, "^root: payoff is an integer past the float range$"),
+            (
+                {"branches": [{"p": 10**400, "node": {"payoff": 0.0}}]},
+                r"^root\.branches\[0\]: 'p' is an integer past the float range$",
+            ),
+            (
+                {"branches": [{"p": 1.0, "node": {"payoff": 0.0}}], "weight": 10**400},
+                "^root: 'weight' is an integer past the float range$",
             ),
         ],
     )
