@@ -45,7 +45,7 @@ from .closed_form import (
     mean_delay,
 )
 from .core import ModelParams, Modulation, ValidationError, is_whole
-from .scaling import (NoScaling, FixedScale, ScalingMode, parse_scaling_mode,
+from .scaling import (AffineTransform, PartialScaling, ScalingMode, parse_scaling_mode,
                       reads_payoff_range, scaled_evaluation)
 from .tree import ResolutionNode, ValidationReport, load_tree, validate
 
@@ -242,7 +242,7 @@ def timing_ratio_point(point: SchemePoint, params: ModelParams, u: float | None 
     utility ``u``.
     """
     if u is None:
-        u = evaluate_point(point, params, NoScaling())[2]
+        u = evaluate_point(point, params, AffineTransform())[2]
     spec = TimingRiskSpec(point.p, point.n, point.p_tr, point.k_tr)
     return _ratio(u, discount_factor(HazardSpec(spec.p, mean_delay(spec)), params), point)
 
@@ -262,13 +262,13 @@ def dual_ratio_point(point: SchemePoint, params: ModelParams, k2_prob: float,
     u_t = memo.get((point.p, point.n))
     if u_t is None:
         hazard = SchemePoint("hazard", p=point.p, n=point.n)
-        u_t = memo[point.p, point.n] = evaluate_point(hazard, params, NoScaling())[2]
+        u_t = memo[point.p, point.n] = evaluate_point(hazard, params, AffineTransform())[2]
     u_p = memo.get(point.p_pr)
     if u_p is None:
         gamble = SchemePoint("gamble", hi=1.0, lo=0.0, p=point.p_pr)
-        u_p = memo[point.p_pr] = evaluate_point(gamble, replace(params, k2=k2_prob), NoScaling())[2]
+        u_p = memo[point.p_pr] = evaluate_point(gamble, replace(params, k2=k2_prob), AffineTransform())[2]
     if u is None:
-        u = evaluate_point(point, params, NoScaling())[2]
+        u = evaluate_point(point, params, AffineTransform())[2]
     return _ratio(u, u_p * u_t, point)
 
 
@@ -360,12 +360,12 @@ def figure_rows(fig_id: str, overrides: dict | None = None) -> tuple[list[str], 
     if fig_id == "fig1":
         for x in grid_points(0.01, 0.99, 99):
             point = SchemePoint("gamble", hi=1.0, lo=0.0, p=x)
-            rows.append([x, evaluate_point(point, params, NoScaling())[2]])
+            rows.append([x, evaluate_point(point, params, AffineTransform())[2]])
         return ["p", "utility"], rows
 
     if fig_id in _HAZARD_FIGURES:
         header, columns = _HAZARD_FIGURES[fig_id]
-        grid = evaluate_grid(SchemePoint("hazard", p=p), "n", range(1, 51), params, NoScaling())
+        grid = evaluate_grid(SchemePoint("hazard", p=p), "n", range(1, 51), params, AffineTransform())
         for point, (_, delta, util) in grid:
             rows.append([float(point.n), *columns(point.n, delta, util)])
         return header, rows
@@ -375,7 +375,7 @@ def figure_rows(fig_id: str, overrides: dict | None = None) -> tuple[list[str], 
         left = fig_id == "fig5-left"
         target, xs = ("n", range(2, 13)) if left else ("p_tr", grid_points(0.05, 0.95, 91))
         grids = [evaluate_grid(SchemePoint("timing", p=p, n=n, p_tr=0.5, k_tr=k_tr),
-                               target, xs, params, NoScaling()) for k_tr in (10.0, 0.0)]
+                               target, xs, params, AffineTransform()) for k_tr in (10.0, 0.0)]
         for x in xs:
             cells = map(next, grids)
             rows.append([float(x), *(timing_ratio_point(point, params, u) for point, (_, _, u) in cells)])
@@ -394,7 +394,7 @@ def figure_rows(fig_id: str, overrides: dict | None = None) -> tuple[list[str], 
     # figA3: the full range is [0, 1/p]; partial divides by (1/p)**(1/alpha)
     for x in grid_points(0.01, 0.5, 50):
         point = SchemePoint("gamble", hi=1.0 / x, lo=0.0, p=x)
-        modes = (NoScaling(), parse_scaling_mode("full"), FixedScale(x ** (-1.0 / params.alpha)))
+        modes = (AffineTransform(), PartialScaling(), AffineTransform(x ** (-1.0 / params.alpha)))
         rows.append([x, *(evaluate_point(point, params, mode)[2] for mode in modes)])
     return ["p", "utility_unscaled", "utility_full", "utility_partial"], rows
 
@@ -440,8 +440,8 @@ def sweep_rows(
     if entry.column is not None:
         header.append(entry.column)
     # a ratio is made of unscaled utilities: the row's own if unscaled
-    unscaled = isinstance(mode, NoScaling)
-    plain = None if unscaled else evaluate_grid(fixed, target, values, params, NoScaling())
+    unscaled = mode == AffineTransform()
+    plain = None if unscaled else evaluate_grid(fixed, target, values, params, AffineTransform())
     memo: dict = {}
     rows = []
     for point, (u0, delta, util) in evaluate_grid(fixed, target, values, params, mode):
@@ -469,9 +469,10 @@ def cmd_sweep(args: argparse.Namespace) -> int:
     if args.grid is not None:
         try:
             start, stop, count = args.grid.split(":")
-            values = grid_points(float(start), float(stop), int(count))
+            start, stop, count = float(start), float(stop), int(count)
         except ValueError as exc:
             raise ValidationError(f"bad grid spec {args.grid!r}: expected start:stop:count") from exc
+        values = grid_points(start, stop, count)
     elif args.values is not None:
         try:
             values = [float(v) for v in args.values.split(",") if v != ""]

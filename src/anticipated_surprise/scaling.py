@@ -45,55 +45,39 @@ class AffineTransform:
 
 
 @dataclass(frozen=True)
-class NoScaling:
-    """Evaluate raw payoffs as they are."""
-
-
-@dataclass(frozen=True)
-class FullScaling:
-    """Map [min payoff, max payoff] onto [0, 1]."""
-
-
-@dataclass(frozen=True)
 class PartialScaling:
-    """Shrink the payoff range by (range)**gamma instead of the full range.
+    """Shift payoffs by the minimum and divide by (range)**gamma.
 
-    gamma = 1 recovers FullScaling; gamma -> 0 approaches NoScaling (up
-    to the offset).  For a {0, xmax} lottery, gamma = 1/alpha divides
-    payoffs by xmax**(1/alpha), the incomplete normalization that keeps
-    a damped magnitude effect.
+    gamma = 1, the default, maps [min payoff, max payoff] onto [0, 1];
+    gamma -> 0 approaches no scaling (up to the offset).  For a {0, xmax}
+    lottery, gamma = 1/alpha divides payoffs by xmax**(1/alpha), the
+    incomplete normalization that keeps a damped magnitude effect.
     """
 
-    gamma: float
+    gamma: float = 1.0
 
     def __post_init__(self) -> None:
         if not (math.isfinite(self.gamma) and 0.0 < self.gamma <= 1.0):
             raise ValidationError(f"gamma must lie in (0, 1], got {self.gamma!r}")
 
 
-@dataclass(frozen=True)
-class FixedScale:
-    """Divide payoffs by an explicit scale (offset 0), e.g. to reproduce
-    a per-problem normalization exactly."""
-
-    scale: float
-
-    def __post_init__(self) -> None:
-        if not (math.isfinite(self.scale) and self.scale > 0.0):
-            raise ValidationError(f"scale must be finite and > 0, got {self.scale!r}")
-
-
-ScalingMode = NoScaling | FullScaling | PartialScaling | FixedScale
+#: A mode is a fixed map (``none`` is ``AffineTransform()``, ``scale:<s>``
+#: is ``AffineTransform(s)``) or a rule on the tree's payoff range.  The
+#: old mode names stay as aliases, so ``isinstance`` does not tell ``none``
+#: from ``scale:<s>``: compare with ``AffineTransform()`` instead.
+ScalingMode = AffineTransform | PartialScaling
+NoScaling = FixedScale = AffineTransform
+FullScaling = PartialScaling
 
 
 def parse_scaling_mode(text: str) -> ScalingMode:
     """Parse the command-line form: none | full | partial:<gamma> | scale:<s>."""
     if text == "none":
-        return NoScaling()
+        return AffineTransform()
     if text == "full":
-        return FullScaling()
+        return PartialScaling()
     kind, colon, value = text.partition(":")
-    mode = {"partial": PartialScaling, "scale": FixedScale}.get(kind)
+    mode = {"partial": PartialScaling, "scale": AffineTransform}.get(kind)
     if colon and mode is not None:
         try:
             return mode(float(value))
@@ -116,18 +100,15 @@ def derive_transform(node: ResolutionNode, mode: ScalingMode) -> AffineTransform
 
 def reads_payoff_range(mode: ScalingMode) -> bool:
     """Whether mode's transform depends on the tree's payoff range."""
-    return isinstance(mode, (FullScaling, PartialScaling))
+    return isinstance(mode, PartialScaling)
 
 
 def _transform_for(lo: float, hi: float, mode: ScalingMode) -> AffineTransform:
-    if isinstance(mode, NoScaling):
-        return AffineTransform()
-    if isinstance(mode, FixedScale):
-        return AffineTransform(scale=mode.scale, offset=0.0)
+    if isinstance(mode, AffineTransform):
+        return mode
     if hi == lo:
         return AffineTransform()
-    if isinstance(mode, FullScaling):
-        return AffineTransform(scale=hi - lo, offset=lo)
+    # x ** 1.0 is x exactly, so gamma = 1 divides by the range itself
     return AffineTransform(scale=(hi - lo) ** mode.gamma, offset=lo)
 
 

@@ -249,6 +249,8 @@ def _result(
     surprises = _stage_surprises(node, report.conditional_values, params, scale)
     u0 = (report.value_of(node) - offset) / scale
     total = _sum(surprises)
+    if not isfinite(total):  # a loss's -k*|z|**alpha overflows silently
+        raise OverflowError(f"total surprise is {total!r}")
     return EvaluationResult(u0, tuple(surprises), total, utility(u0, total, params))
 
 

@@ -1,3 +1,5 @@
+import math
+
 import pytest
 
 from anticipated_surprise import (
@@ -181,6 +183,10 @@ class TestScenario:
             ScenarioSpec([], [], 1.0)
         with pytest.raises(ValidationError):
             ScenarioSpec([1.5], [-1.0], 1.0)
+        with pytest.raises(ValidationError, match=r"step_payoffs\[1\] must be finite, got inf"):
+            ScenarioSpec([0.1, 0.2], [-1.0, math.inf], 1.0)
+        with pytest.raises(ValidationError, match="final_payoff must be finite, got nan"):
+            ScenarioSpec([0.1], [-1.0], math.nan)
 
 
 class TestAllBuildersValidate:

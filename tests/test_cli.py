@@ -122,12 +122,15 @@ class TestEval:
         assert float(row["utility"]) == pytest.approx(1.00001993988, rel=1e-9)
 
     def test_large_payoffs_unscaled_overflow_exits_2(self, capsys):
-        code, out, err = run(
-            capsys, ["eval", "--scheme", "gamble", "--hi", "1e5", "--lo", "0", "--p", "1e-5"]
-        )
-        assert code == 2 and out == ""
-        assert err.startswith("error:") and err.count("\n") == 1
-        assert "--scaling full" in err and "partial:<gamma>" in err
+        # a gain's z**alpha raises OverflowError; a loss's -k*|z|**alpha
+        # overflows to -inf without raising, and must be reported alike
+        for hi, p in (("1e5", "1e-5"), ("7e192", "0.5")):
+            code, out, err = run(
+                capsys, ["eval", "--scheme", "gamble", "--hi", hi, "--lo", "0", "--p", p]
+            )
+            assert code == 2 and out == ""
+            assert err.startswith("error: numeric overflow") and err.count("\n") == 1
+            assert "--scaling full" in err and "partial:<gamma>" in err
 
     def test_missing_flag_is_validation_failure(self, capsys):
         code, _, err = run(capsys, ["eval", "--scheme", "hazard", "--p", "0.03"])
@@ -329,6 +332,11 @@ class TestFigures:
         tweaked = figure_rows("fig1", {"k": 4.0})
         assert base != tweaked
 
+    def test_unknown_id_rejected(self):
+        # the command line's choices stop it first; the library call checks too
+        with pytest.raises(ValidationError, match="unknown figure id 'fig2'; expected one of fig1, "):
+            figure_rows("fig2")
+
     def test_pointwise_consistency_with_eval(self, capsys):
         # figure cells must be exactly what eval prints for those points
         header, rows = figure_rows("fig1")
@@ -427,6 +435,22 @@ class TestSweep:
         code, _, err = run(capsys, ["sweep", "--scheme", "hazard", "--p", "0.03",
                                     "--target", "n"])
         assert code == 2 and "requires" in err
+
+    @pytest.mark.parametrize(
+        "grid,message",
+        [
+            ("3:3:2", "grid endpoints must be finite and distinct, got 3.0:3.0"),
+            ("1:2:1", "grid count must be an integer >= 2, got 1"),
+            ("nan:1:3", "grid endpoints must be finite and distinct, got nan:1.0"),
+        ],
+    )
+    def test_well_formed_bad_grid_keeps_its_message(self, capsys, grid, message):
+        code, out, err = run(
+            capsys,
+            ["sweep", "--scheme", "hazard", "--p", "0.03", "--target", "n", "--grid", grid],
+        )
+        assert code == 2 and out == ""
+        assert err == f"error: {message}\n"
 
     def test_fractional_n_rejected(self, capsys):
         code, _, err = run(

@@ -157,6 +157,8 @@ class TestProbOnly:
     def test_boundaries_carry_no_surprise(self):
         assert prob_only_surprise(0.0, P) == 0.0
         assert prob_only_surprise(1.0, P) == 0.0
+        with pytest.raises(ValidationError, match=r"p_pr must lie in \[0, 1\]"):
+            prob_only_surprise(1.5, P)
 
     def test_small_probability_is_positive(self):
         assert prob_only_surprise(0.01, P) > 0.0
@@ -339,6 +341,9 @@ class TestSpecValidation:
             HazardSpec(1.0, 4)
         with pytest.raises(ValidationError):
             HazardSpec(0.03, -1)
+        # a valid spec whose q = 1 - p rounds to 1.0: the chain sum is 0/0
+        with pytest.raises(ValidationError, match="hazard probability too small"):
+            discount_factor(HazardSpec(1e-17, 5), ModelParams())
 
     def test_timing_spec_bounds(self):
         with pytest.raises(ValidationError):
@@ -347,12 +352,21 @@ class TestSpecValidation:
             TimingRiskSpec(0.03, 4, 0.0)
         with pytest.raises(ValidationError):
             TimingRiskSpec(0.03, 4, 0.5, -1.0)
+        with pytest.raises(ValidationError, match="p must lie in"):
+            TimingRiskSpec(1.5, 4, 0.5)
 
     def test_dual_spec_bounds(self):
         with pytest.raises(ValidationError):
             DualRiskSpec(0.03, 0, 0.5)
         with pytest.raises(ValidationError):
             DualRiskSpec(0.03, 4, 1.0)
+        with pytest.raises(ValidationError, match="p must lie in"):
+            DualRiskSpec(0.0, 4, 0.5)
+        with pytest.raises(ValidationError, match="k2_prob must be >= 0"):
+            DualRiskSpec(0.03, 4, 0.5, k2_prob=-1.0)
+        # p_pr**(1/n) and 1 - p both round to 1.0, so the hazard is 0.0
+        with pytest.raises(ValidationError, match="inflated hazard 0.0"):
+            DualRiskSpec(1e-17, 10**6, 0.9999999999999999, DualScheme.INCORPORATED)
 
     @pytest.mark.parametrize("value", [math.inf, -math.inf, math.nan])
     @pytest.mark.parametrize(

@@ -62,6 +62,10 @@ class TestKernel:
             surprise_kernel(math.inf, P)
         with pytest.raises(ValidationError):
             surprise_kernel(math.nan, P)
+        with pytest.raises(ValidationError, match="surprise must be finite"):
+            surprise_modulation(math.nan, P)
+        with pytest.raises(ValidationError, match="expected value must be finite"):
+            utility(math.inf, 0.0, P)
 
     def test_odd_scaling(self):
         # delta(-z) = -k * delta(z) exactly for the power kernel

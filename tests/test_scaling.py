@@ -55,6 +55,8 @@ class TestAffineTransform:
             AffineTransform(scale=0.0)
         with pytest.raises(ValidationError):
             AffineTransform(scale=-1.0)
+        with pytest.raises(ValidationError, match="offset must be finite"):
+            AffineTransform(offset=math.inf)
 
 
 class TestDeriveTransform:
@@ -181,6 +183,7 @@ class TestEvaluateScaled:
             (build_binary_gamble(1e5, 0.0, 1e-5), FullScaling()),
             (build_binary_gamble(1e5, 0.0, 1e-5), PartialScaling(0.5)),
             (random_tree(random.Random(11), payoff_range=(-1e200, 1e200)), FullScaling()),
+            (build_binary_gamble(7e192, 0.0, 0.5), FullScaling()),
         ],
     )
     def test_payoffs_too_large_to_evaluate_raw(self, tree, mode):
