@@ -200,9 +200,10 @@ def evaluate_grid(
     range, the leading values that are valid n share one build and one
     validation: those of the tree at the largest of them, N.  The tree at n
     is then the node N - n levels down the last branches of the tree at N,
-    whose report holds its conditional values.  The shared build waits for
-    the first point, whose own build would raise the same errors: none
-    depends on n.
+    whose report holds its conditional values and, once computed, each
+    node's kernel jump, so a node below several of these trees has its jump
+    computed once.  The shared build waits for the first point, whose own
+    build would raise the same errors: none depends on n.
     """
     first = SCHEMES[fixed.scheme].nests_from if target == "n" else None
     shared = 0
@@ -222,6 +223,8 @@ def evaluate_grid(
             depth = int(max(values[:shared]))
             spine = [build_scheme_tree(SchemePoint(**{**attrs, "n": depth}))]
             report = validate(spine[0])
+            # one params and one fixed scale for every point of this grid
+            report.jumps = dict.fromkeys(report.conditional_values)
             for _ in range(depth - int(min(values[:shared]))):
                 spine.append(spine[-1].branches[-1].child)
         yield point, evaluate_point(point, params, mode, spine[depth - value], report)
@@ -573,8 +576,16 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+#: The parser main reuses, built on its first call: building it costs
+#: about as much as a small op, and importing the module stays cheap.
+_parser: argparse.ArgumentParser | None = None
+
+
 def main(argv: list[str] | None = None) -> int:
-    args = build_parser().parse_args(argv)
+    global _parser
+    if _parser is None:
+        _parser = build_parser()
+    args = _parser.parse_args(argv)
     try:
         if args.command == "eval":
             return cmd_eval(args)

@@ -108,6 +108,9 @@ def _transform_for(lo: float, hi: float, mode: ScalingMode) -> AffineTransform:
         return mode
     if hi == lo:
         return AffineTransform()
+    if not math.isfinite(hi - lo):
+        raise ValidationError(f"payoff range [{lo!r}, {hi!r}] is wider than a float holds; "
+                              "scaling needs hi - lo finite")
     # x ** 1.0 is x exactly, so gamma = 1 divides by the range itself
     return AffineTransform(scale=(hi - lo) ** mode.gamma, offset=lo)
 

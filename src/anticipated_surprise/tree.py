@@ -70,6 +70,12 @@ class ValidationReport:
     range, the root's expected value and, in ``conditional_values``, the
     conditional expected value of every internal node keyed by ``id()``
     (valid while the tree it was computed from is alive).
+
+    ``jumps`` is off (None) unless a caller that evaluates several nodes
+    of one tree, all under one params and one scale, sets it to a dict
+    keyed like ``conditional_values``: evaluation then keeps each internal
+    node's kernel jump there (None until computed), so a node below
+    several evaluated sub-roots has its jump computed once.
     """
 
     node_count: int = 0
@@ -80,6 +86,9 @@ class ValidationReport:
     expected_value: float = 0.0
     conditional_values: dict[int, float] = field(
         default_factory=dict, repr=False, compare=False
+    )
+    jumps: dict[int, float | None] | None = field(
+        default=None, repr=False, compare=False
     )
 
     def value_of(self, node: ResolutionNode) -> float:
@@ -195,11 +204,14 @@ def stage_surprises(node: ResolutionNode, params: ModelParams) -> list[float]:
 
 
 def _stage_surprises(
-    node: ResolutionNode, values: dict[int, float], params: ModelParams, scale: float = 1.0
+    node: ResolutionNode, values: dict[int, float], params: ModelParams, scale: float = 1.0,
+    jumps: dict[int, float | None] | None = None,
 ) -> list[float]:
     """The level-order surprise pass over a validated tree; ``values`` is
     its walk's table of conditional expected values.  Each jump is divided
-    by ``scale``, which evaluates the tree with payoffs divided by it."""
+    by ``scale``, which evaluates the tree with payoffs divided by it.
+    A node's jump found in ``jumps`` (computed under the same params and
+    scale) is read, not recomputed; one computed is stored there."""
     out: list[float] = []
     level: list[tuple[ResolutionNode, float]] = [(node, 1.0)]
     while level:
@@ -214,14 +226,21 @@ def _stage_surprises(
             total = 0.0
             for br in nd.branches:
                 total += br.probability
-            e_here = values[id(nd)]
-            jump = 0.0
-            for br in nd.branches:
-                child = br.child
-                value = child.payoff if isinstance(child, Terminal) else values[id(child)]
-                q = br.probability / total
-                jump += q * surprise_kernel((value - e_here) / scale, params)
-                nxt.append((child, reach * q))
+            jump = None if jumps is None else jumps.get(id(nd))
+            if jump is not None:
+                for br in nd.branches:
+                    nxt.append((br.child, reach * (br.probability / total)))
+            else:
+                e_here = values[id(nd)]
+                jump = 0.0
+                for br in nd.branches:
+                    child = br.child
+                    value = child.payoff if isinstance(child, Terminal) else values[id(child)]
+                    q = br.probability / total
+                    jump += q * surprise_kernel((value - e_here) / scale, params)
+                    nxt.append((child, reach * q))
+                if jumps is not None:
+                    jumps[id(nd)] = jump
             stage_total += reach * nd.surprise_weight * jump
         if saw_internal:
             out.append(stage_total)
@@ -246,7 +265,7 @@ def _result(
     so the offset cancels in each jump and the jumps are divided by scale;
     the identity (1, 0) leaves every float as it is.  node may be any node
     of the validated tree: its subtree is evaluated as a tree of its own."""
-    surprises = _stage_surprises(node, report.conditional_values, params, scale)
+    surprises = _stage_surprises(node, report.conditional_values, params, scale, report.jumps)
     u0 = (report.value_of(node) - offset) / scale
     total = _sum(surprises)
     if not isfinite(total):  # a loss's -k*|z|**alpha overflows silently

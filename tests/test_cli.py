@@ -1,6 +1,7 @@
 import itertools
 import json
 import math
+import random
 from dataclasses import replace
 
 import pytest
@@ -131,6 +132,15 @@ class TestEval:
             assert code == 2 and out == ""
             assert err.startswith("error: numeric overflow") and err.count("\n") == 1
             assert "--scaling full" in err and "partial:<gamma>" in err
+
+    @pytest.mark.parametrize("scaling", ["full", "partial:0.5"])
+    def test_payoff_range_past_the_float_range_names_the_range(self, capsys, scaling):
+        # hi - lo overflows to inf; the scale it would give was never the user's
+        code, out, err = run(capsys, ["eval", "--scheme", "gamble", "--hi", "1.5e308",
+                                      "--lo=-1.5e308", "--p", "0.5", "--scaling", scaling])
+        assert (code, out) == (2, "")
+        assert err == ("error: payoff range [-1.5e+308, 1.5e+308] is wider than a float holds; "
+                       "scaling needs hi - lo finite\n")
 
     def test_missing_flag_is_validation_failure(self, capsys):
         code, _, err = run(capsys, ["eval", "--scheme", "hazard", "--p", "0.03"])
@@ -598,6 +608,52 @@ class TestUnreadFlags:
             assert _params_from(build_parser().parse_args(command)) == ModelParams()
 
 
+class TestParser:
+    def test_main_builds_its_parser_once(self, monkeypatch, capsys):
+        from anticipated_surprise import cli
+
+        built = []
+
+        def counting():
+            built.append(build_parser())
+            return built[-1]
+
+        monkeypatch.setattr(cli, "_parser", None)
+        monkeypatch.setattr(cli, "build_parser", counting)
+        for argv in (["eval", "--scheme", "hazard", "--p", "0.03", "--n", "4"],
+                     ["figure", "fig1", "--out", "-"],
+                     ["sweep", "--scheme", "hazard", "--p", "0.03", "--target", "n", "--values", "2"],
+                     ["eval", "--scheme", "hazard", "--p", "0.03", "--n", "5"]):
+            assert run(capsys, argv)[0] == 0
+        assert len(built) == 1
+
+    def test_a_usage_error_leaves_the_parser_usable(self, capsys):
+        argv = ["eval", "--scheme", "hazard", "--p", "0.03", "--n", "4"]
+        want = run(capsys, argv)
+        with pytest.raises(SystemExit) as exc:
+            main(["eval", "--scheme", "hazard", "--p", "0.03", "--bogus", "1"])
+        assert exc.value.code == 2 and "unrecognized arguments: --bogus" in capsys.readouterr().err
+        assert run(capsys, argv) == want
+
+    def test_a_flag_does_not_carry_to_the_next_call(self, capsys):
+        argv = ["eval", "--scheme", "hazard", "--p", "0.03", "--n", "4"]
+        for k, want in (("5", "5"), (None, "3")):
+            code, out, _ = run(capsys, argv + (["--k", k] if k else []))
+            header, rows = parse_csv(out)
+            assert code == 0 and dict(zip(header, rows[0]))["k"] == want
+
+    @pytest.mark.parametrize("command", [[], ["eval"], ["figure"], ["sweep"]])
+    def test_help_matches_a_fresh_parsers(self, capsys, command):
+        run(capsys, ["eval", "--scheme", "hazard", "--p", "0.03", "--n", "4", "--k", "5"])
+        helps = []
+        for parse in (main, build_parser().parse_args):
+            with pytest.raises(SystemExit) as exc:
+                parse([*command, "--help"])
+            assert exc.value.code == 0
+            helps.append(capsys.readouterr().out)
+        assert helps[0] == helps[1] and "usage: anticipated-surprise" in helps[0]
+
+
 class TestUndefinedRatio:
     @pytest.mark.parametrize(
         "argv",
@@ -688,6 +744,8 @@ class TestHelpers:
             # unscaled utilities still come from one shared tree
             (["--scheme", "timing", "--p-tr", "0.5", "--scaling", "full"], 6),
             (["--scheme", "dual-a-after", "--p-pr", "0.7", "--scaling", "partial:0.5"], 12),
+            # dual-b does not nest: a tree per row, then U_t and U_p as above
+            (["--scheme", "dual-b", "--p-pr", "0.7"], 11),
         ],
     )
     def test_sweep_walks_each_tree_once_per_row(self, monkeypatch, capsys, argv, walks):
@@ -751,6 +809,26 @@ class TestNGrid:
         assert rows == [[n, *evaluate_point(pt, params, scaling),
                          *([] if scheme == "hazard" else [ratio(pt, params)])]
                         for n, pt in zip(ns, points)]
+
+    @pytest.mark.parametrize("mode", ["none", "scale:2"])
+    def test_n_sweep_computes_each_nodes_jump_once(self, monkeypatch, mode):
+        # each of the 400 levels has two branches: 2 * max n kernel calls
+        # where a walk from every sub-root would make 2 * sum(n)
+        from anticipated_surprise import tree
+
+        calls = []
+        kernel = tree.surprise_kernel
+
+        def counting(z, params):
+            calls.append(z)
+            return kernel(z, params)
+
+        monkeypatch.setattr(tree, "surprise_kernel", counting)
+        values = [float(n) for n in random.Random(16).sample(range(1, 400), 15)] + [400.0]
+        random.Random(17).shuffle(values)
+        _, rows = sweep_rows("n", values, NESTING["hazard"], ModelParams(k2=10.0),
+                             parse_scaling_mode(mode), 2.0)
+        assert len(rows) == 16 and len(calls) == 2 * 400 < 2 * sum(values)
 
     def test_points_before_a_bad_value_are_yielded_first(self):
         grid = evaluate_grid(NESTING["hazard"], "n", [3.0, 5.0, 0.0, 4.0], ModelParams(), NoScaling())

@@ -285,6 +285,31 @@ class TestMartingaleAndDecomposition:
                 if isinstance(nd, Internal):
                     stack.extend(br.child for br in nd.branches)
 
+    @pytest.mark.parametrize("params,scale", [(P, 1.0), (ModelParams(k=5.0, alpha=2.2), 0.37)])
+    def test_jump_memo_gives_a_fresh_reports_bits(self, params, scale):
+        """One report with its jump memo on, evaluated at every node (each
+        below the nodes it holds, so their jumps are read from the memo),
+        gives the bits of a fresh report at each node."""
+        from anticipated_surprise.tree import _result
+
+        def bits(result):
+            return [float.hex(x) for x in (result.expected_value, result.total_surprise,
+                                           result.utility, *result.stage_surprises)]
+
+        rng = random.Random(13)
+        for tree in [chain(0.03, 30), *(random_tree(rng, max_depth=4) for _ in range(20))]:
+            shared = validate(tree)
+            shared.jumps = dict.fromkeys(shared.conditional_values)
+            nodes, stack = [], [tree]
+            while stack:
+                nodes.append(stack.pop())
+                if isinstance(nodes[-1], Internal):
+                    stack.extend(br.child for br in nodes[-1].branches)
+            for nd in reversed(nodes):
+                want = _result(nd, validate(nd), params, scale)
+                assert bits(_result(nd, shared, params, scale)) == bits(want)
+            assert None not in shared.jumps.values()
+
 
 class TestCollapse:
     def test_chain_of_sure_links_collapses_to_terminal(self):
