@@ -18,7 +18,8 @@ its utility to its ratio instead of evaluating the tree again.  The only
 closed-form-only quantity is the fixed-delay comparison utility inside
 timing ratios, whose fractional delay has no tree.
 
-Exit codes: 0 ok, 1 i/o failure, 2 validation failure, overflow or undefined ratio.
+Exit codes: 0 ok, 1 i/o failure, 2 validation failure, overflow, undefined
+ratio or exhausted memory.
 """
 
 from __future__ import annotations
@@ -47,7 +48,7 @@ from .closed_form import (
 from .core import ModelParams, Modulation, ValidationError, is_whole
 from .scaling import (AffineTransform, PartialScaling, ScalingMode, parse_scaling_mode,
                       reads_payoff_range, scaled_evaluation)
-from .tree import ResolutionNode, ValidationReport, load_tree, validate
+from .tree import ResolutionNode, Spine, load_tree, validate
 
 
 def fmt(value: float) -> str:
@@ -117,7 +118,9 @@ class Scheme(NamedTuple):
     ratio_flags: the sweep flags that ratio reads
     nests_from: if its trees nest in n, the smallest n it takes; the tree
         at n + 1 is then one level whose last branch leads to the tree at
-        n (see evaluate_grid)
+        n and whose other branches end in terminals, so every tree of the
+        scheme is a spine: its internal nodes all lie on the path of last
+        branches (see evaluate_grid and tree.Spine)
     """
 
     fields: tuple[str, ...]
@@ -173,20 +176,10 @@ def build_scheme_tree(point: SchemePoint) -> ResolutionNode:
 
 
 def evaluate_point(
-    point: SchemePoint,
-    params: ModelParams,
-    mode: ScalingMode,
-    tree: ResolutionNode | None = None,
-    report: ValidationReport | None = None,
+    point: SchemePoint, params: ModelParams, mode: ScalingMode
 ) -> tuple[float, float, float]:
-    """(raw expected value, surprise of the scaled tree, final utility).
-
-    A caller that holds point's tree may pass it, with the report of a
-    validated tree that contains it (see ``scaled_evaluation``).
-    """
-    if tree is None:
-        tree = build_scheme_tree(point)
-    result = scaled_evaluation(tree, params, mode, report)
+    """(raw expected value, surprise of the scaled tree, final utility)."""
+    result = scaled_evaluation(build_scheme_tree(point), params, mode)
     return result.raw_expected_value, result.scaled.total_surprise, result.utility
 
 
@@ -198,19 +191,20 @@ def evaluate_grid(
 
     Where target is n, fixed's scheme nests in n and mode reads no payoff
     range, the leading values that are valid n share one build and one
-    validation: those of the tree at the largest of them, N.  The tree at n
-    is then the node N - n levels down the last branches of the tree at N,
-    whose report holds its conditional values and, once computed, each
-    node's kernel jump, so a node below several of these trees has its jump
-    computed once.  The shared build waits for the first point, whose own
-    build would raise the same errors: none depends on n.
+    validation: those of the tree at the largest of them, N.  That tree is
+    a spine (see ``Scheme.nests_from``), and the tree at n is its node
+    N - n levels down the last branches, so a ``tree.Spine`` of it under
+    the grid's one params and scale gives each such row from flat lists,
+    computing each node's kernel jump once.  The shared build waits for
+    the first point, whose own build would raise the same errors: none
+    depends on n.
     """
     first = SCHEMES[fixed.scheme].nests_from if target == "n" else None
     shared = 0
     if first is not None and not reads_payoff_range(mode):
         while shared < len(values) and is_whole(values[shared]) and values[shared] >= first:
             shared += 1
-    attrs, spine = vars(fixed).copy(), []
+    attrs, spine = vars(fixed).copy(), None
     for i, value in enumerate(values):
         if target == "n":
             value = whole(value, "n grid values must be whole numbers")
@@ -219,22 +213,31 @@ def evaluate_grid(
         if i >= shared:
             yield point, evaluate_point(point, params, mode)
             continue
-        if not spine:
+        if spine is None:
             depth = int(max(values[:shared]))
-            spine = [build_scheme_tree(SchemePoint(**{**attrs, "n": depth}))]
-            report = validate(spine[0])
-            # one params and one fixed scale for every point of this grid
-            report.jumps = dict.fromkeys(report.conditional_values)
-            for _ in range(depth - int(min(values[:shared]))):
-                spine.append(spine[-1].branches[-1].child)
-        yield point, evaluate_point(point, params, mode, spine[depth - value], report)
+            tree = build_scheme_tree(SchemePoint(**{**attrs, "n": depth}))
+            # mode is a fixed map here: scaled_evaluation's transform
+            spine = Spine(tree, validate(tree), params, mode.scale)
+        yield point, _spine_point(spine, depth - value, mode)
+
+
+def _spine_point(spine: Spine, i: int, transform: AffineTransform) -> tuple[float, float, float]:
+    """evaluate_point's triple for the tree at path node i of spine, whose
+    scale is transform's.  Its stage surprises die here, not at the next row."""
+    scaled = spine.result(i, transform.offset)
+    return spine.expected_value(i), scaled.total_surprise, transform.invert_utility(scaled.utility)
 
 
 def _ratio(utility: float, reference: float, point: SchemePoint) -> float:
-    """utility / reference; ValidationError if the reference underflowed to 0."""
+    """utility / reference; ValidationError if the reference underflowed to
+    0, or either to a subnormal float, which has lost the digits a ratio
+    needs (a deep chain's value stalls there instead of shrinking)."""
+    undefined = f"ratio undefined at p={point.p!r}, n={point.n!r}: its"
     if reference == 0.0:
-        raise ValidationError(f"ratio undefined at p={point.p!r}, n={point.n!r}: "
-                              "its reference utility underflows to 0")
+        raise ValidationError(f"{undefined} reference utility underflows to 0")
+    for name, value in (("utility", utility), ("reference utility", reference)):
+        if 0.0 < abs(value) < sys.float_info.min:
+            raise ValidationError(f"{undefined} {name} underflows to the subnormal {value!r}")
     return utility / reference
 
 
@@ -605,6 +608,11 @@ def main(argv: list[str] | None = None) -> int:
     except OSError as exc:
         print(f"i/o error: {exc}", file=sys.stderr)
         return 1
+    except MemoryError:
+        pass  # reported below, once leaving the handler has freed the half-built tree
+    print("error: out of memory: the tree is too large to build or evaluate; "
+          "the closed forms (anticipated_surprise.closed_form) cover any n", file=sys.stderr)
+    return 2
 
 
 if __name__ == "__main__":

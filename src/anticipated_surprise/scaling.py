@@ -13,8 +13,7 @@ import math
 from dataclasses import dataclass
 
 from .core import ModelParams, ValidationError
-from .tree import (EvaluationResult, ResolutionNode, Terminal, ValidationReport, _fold, _rebuilt,
-                   _result, validate)
+from .tree import EvaluationResult, ResolutionNode, Terminal, _fold, _rebuilt, _result, validate
 
 
 @dataclass(frozen=True)
@@ -136,22 +135,14 @@ class ScaledEvaluation:
 
 
 def scaled_evaluation(
-    node: ResolutionNode,
-    params: ModelParams,
-    mode: ScalingMode,
-    report: ValidationReport | None = None,
+    node: ResolutionNode, params: ModelParams, mode: ScalingMode
 ) -> ScaledEvaluation:
     """Evaluate the normalized tree without building it: the surprise
     pass divides the raw jumps by the transform's scale.  The raw tree's
     own surprise and utility are never computed, so payoffs too large for
     them still evaluate once normalized.
-
-    A caller that has validated a tree containing node may pass its
-    ``report`` if mode reads no payoff range: node's conditional values
-    are in it, and its range is not node's own.
     """
-    if report is None:
-        report = validate(node)
+    report = validate(node)
     transform = _transform_for(report.payoff_min, report.payoff_max, mode)
     scaled = _result(node, report, params, transform.scale, transform.offset)
     return ScaledEvaluation(

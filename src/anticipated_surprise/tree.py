@@ -69,13 +69,9 @@ class ValidationReport:
     evaluation.  The walk also yields what evaluation needs: the payoff
     range, the root's expected value and, in ``conditional_values``, the
     conditional expected value of every internal node keyed by ``id()``
-    (valid while the tree it was computed from is alive).
-
-    ``jumps`` is off (None) unless a caller that evaluates several nodes
-    of one tree, all under one params and one scale, sets it to a dict
-    keyed like ``conditional_values``: evaluation then keeps each internal
-    node's kernel jump there (None until computed), so a node below
-    several evaluated sub-roots has its jump computed once.
+    (valid while the tree it was computed from is alive).  Any node of the
+    tree evaluates from this report as a tree of its own (see ``_result``);
+    a ``Spine`` evaluates every node down the last branches from it.
     """
 
     node_count: int = 0
@@ -86,9 +82,6 @@ class ValidationReport:
     expected_value: float = 0.0
     conditional_values: dict[int, float] = field(
         default_factory=dict, repr=False, compare=False
-    )
-    jumps: dict[int, float | None] | None = field(
-        default=None, repr=False, compare=False
     )
 
     def value_of(self, node: ResolutionNode) -> float:
@@ -204,14 +197,11 @@ def stage_surprises(node: ResolutionNode, params: ModelParams) -> list[float]:
 
 
 def _stage_surprises(
-    node: ResolutionNode, values: dict[int, float], params: ModelParams, scale: float = 1.0,
-    jumps: dict[int, float | None] | None = None,
+    node: ResolutionNode, values: dict[int, float], params: ModelParams, scale: float = 1.0
 ) -> list[float]:
     """The level-order surprise pass over a validated tree; ``values`` is
     its walk's table of conditional expected values.  Each jump is divided
-    by ``scale``, which evaluates the tree with payoffs divided by it.
-    A node's jump found in ``jumps`` (computed under the same params and
-    scale) is read, not recomputed; one computed is stored there."""
+    by ``scale``, which evaluates the tree with payoffs divided by it."""
     out: list[float] = []
     level: list[tuple[ResolutionNode, float]] = [(node, 1.0)]
     while level:
@@ -222,30 +212,40 @@ def _stage_surprises(
             if isinstance(nd, Terminal):
                 continue
             saw_internal = True
-            # _sum's loop, written out: a call per node costs more than the sum
+            # _total's loop, written out: a call per node costs more than the sum
             total = 0.0
             for br in nd.branches:
                 total += br.probability
-            jump = None if jumps is None else jumps.get(id(nd))
-            if jump is not None:
-                for br in nd.branches:
-                    nxt.append((br.child, reach * (br.probability / total)))
-            else:
-                e_here = values[id(nd)]
-                jump = 0.0
-                for br in nd.branches:
-                    child = br.child
-                    value = child.payoff if isinstance(child, Terminal) else values[id(child)]
-                    q = br.probability / total
-                    jump += q * surprise_kernel((value - e_here) / scale, params)
-                    nxt.append((child, reach * q))
-                if jumps is not None:
-                    jumps[id(nd)] = jump
-            stage_total += reach * nd.surprise_weight * jump
+            for br in nd.branches:
+                nxt.append((br.child, reach * (br.probability / total)))
+            stage_total += reach * nd.surprise_weight * _jump(nd, total, values, params, scale)
         if saw_internal:
             out.append(stage_total)
         level = nxt
     return out
+
+
+def _total(node: Internal) -> float:
+    """The sum from 0.0 of node's branch probabilities, in branch order."""
+    total = 0.0
+    for br in node.branches:
+        total += br.probability
+    return total
+
+
+def _jump(node: Internal, total: float, values: dict[int, float], params: ModelParams,
+          scale: float) -> float:
+    """node's kernel jump: over its branches in order, the sum from 0.0 of
+    q * surprise_kernel((child value - node value) / scale), q being the
+    branch's probability over ``total``, node's ``_total``.  It depends
+    only on the node, the params and the scale."""
+    e_here = values[id(node)]
+    jump = 0.0
+    for br in node.branches:
+        child = br.child
+        value = child.payoff if isinstance(child, Terminal) else values[id(child)]
+        jump += br.probability / total * surprise_kernel((value - e_here) / scale, params)
+    return jump
 
 
 def evaluate(node: ResolutionNode, params: ModelParams) -> EvaluationResult:
@@ -265,12 +265,69 @@ def _result(
     so the offset cancels in each jump and the jumps are divided by scale;
     the identity (1, 0) leaves every float as it is.  node may be any node
     of the validated tree: its subtree is evaluated as a tree of its own."""
-    surprises = _stage_surprises(node, report.conditional_values, params, scale, report.jumps)
-    u0 = (report.value_of(node) - offset) / scale
+    surprises = _stage_surprises(node, report.conditional_values, params, scale)
+    return _finished(surprises, (report.value_of(node) - offset) / scale, params)
+
+
+def _finished(surprises: list[float], u0: float, params: ModelParams) -> EvaluationResult:
+    """The result of a tree with these stage surprises and (mapped) expected value u0."""
     total = _sum(surprises)
     if not isfinite(total):  # a loss's -k*|z|**alpha overflows silently
         raise OverflowError(f"total surprise is {total!r}")
     return EvaluationResult(u0, tuple(surprises), total, utility(u0, total, params))
+
+
+class Spine:
+    """A validated tree whose internal nodes all lie on the path of last
+    branches (each other branch ends in a terminal), flattened to evaluate
+    the subtree at any node of that path under one params and one scale.
+
+    Path node i + k is then the one internal node on level k of the
+    subtree at path node i, so that subtree's stage surprises are, for
+    j = i, i+1, ..., ``0.0 + (reach * weights[j]) * jumps[j]``, reach
+    starting at 1.0 and multiplied by ``survivals[j]`` (the last branch's
+    probability over the node's ``_total``) after each level: the floats
+    of the level walk, in its order.  Each jump is computed once, top-down
+    as the rows first reach it, so a kernel error is the one that the row,
+    evaluated alone, meets.
+    """
+
+    def __init__(self, root: ResolutionNode, report: ValidationReport, params: ModelParams,
+                 scale: float) -> None:
+        self.values, self.params, self.scale = report.conditional_values, params, scale
+        #: The internal nodes down the last branches, root first, with
+        #: their surprise weights and survivals.
+        self.nodes: list[Internal] = []
+        self.weights: list[float] = []
+        self.survivals: list[float] = []
+        nd = root
+        while isinstance(nd, Internal):
+            last = nd.branches[-1]
+            self.nodes.append(nd)
+            self.weights.append(nd.surprise_weight)
+            self.survivals.append(last.probability / _total(nd))
+            nd = last.child
+        self.jumps = [0.0] * len(self.nodes)
+        self._computed = len(self.nodes)  # jumps[_computed:] hold their values
+
+    def result(self, i: int, offset: float) -> EvaluationResult:
+        """``_result`` of the subtree at path node i, payoffs read as
+        (x - offset) / scale."""
+        jumps, weights, survivals = self.jumps, self.weights, self.survivals
+        if i < self._computed:
+            for k in range(i, self._computed):
+                nd = self.nodes[k]
+                jumps[k] = _jump(nd, _total(nd), self.values, self.params, self.scale)
+            self._computed = i
+        surprises, reach = [], 1.0
+        for k in range(i, len(jumps)):
+            surprises.append(0.0 + reach * weights[k] * jumps[k])
+            reach *= survivals[k]
+        return _finished(surprises, (self.expected_value(i) - offset) / self.scale, self.params)
+
+    def expected_value(self, i: int) -> float:
+        """The raw conditional expected value of path node i."""
+        return self.values[id(self.nodes[i])]
 
 
 def _sum(values: Iterable[float]) -> float:

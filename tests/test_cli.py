@@ -6,7 +6,8 @@ from dataclasses import replace
 
 import pytest
 
-from anticipated_surprise import ModelParams, ValidationError, build_binary_gamble, evaluate
+from anticipated_surprise import (Internal, ModelParams, Terminal, ValidationError,
+                                  build_binary_gamble, evaluate)
 from anticipated_surprise.cli import (
     FIGURE_FLAGS,
     FIGURES,
@@ -672,6 +673,38 @@ class TestUndefinedRatio:
         assert code == 2 and out == "" and list(tmp_path.iterdir()) == []
         assert err == "error: ratio undefined at p=0.99, n=400: its reference utility underflows to 0\n"
 
+    def test_subnormal_utility_exits_2(self, capsys):
+        # q**n stalls among the subnormals past ~23,300 levels at p=0.03
+        argv = ["sweep", "--scheme", "dual-a-after", "--p", "0.03", "--p-pr", "0.5",
+                "--target", "n", "--values", "20000,23500,30000"]
+        code, out, err = run(capsys, argv)
+        assert code == 2 and out == ""
+        assert err.startswith("error: ratio undefined at p=0.03, n=23500: its utility underflows "
+                              "to the subnormal 6.83") and err.count("\n") == 1
+
+
+def test_exhausted_memory_exits_2_with_one_line():
+    """Run in a child process that limits its own address space."""
+    resource = pytest.importorskip("resource")
+    if not hasattr(resource, "RLIMIT_AS"):
+        pytest.skip("no address-space limit on this platform")
+    import os
+    import subprocess
+    import sys
+
+    src = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
+    child = ("import resource, sys\n"
+             "resource.setrlimit(resource.RLIMIT_AS, (128 << 20, 128 << 20))\n"
+             "from anticipated_surprise.cli import main\n"
+             "sys.exit(main(sys.argv[1:]))\n")
+    proc = subprocess.run(
+        [sys.executable, "-c", child, "eval", "--scheme", "hazard", "--p", "0.03", "--n", "1e7"],
+        capture_output=True, text=True, env={**os.environ, "PYTHONPATH": src}, timeout=120,
+    )
+    assert (proc.returncode, proc.stdout) == (2, "")
+    assert proc.stderr.startswith("error: out of memory: ") and proc.stderr.count("\n") == 1
+    assert "closed forms" in proc.stderr
+
 
 def count_walks(monkeypatch) -> list:
     """The list each validation walk from now on appends its tree to."""
@@ -887,3 +920,23 @@ class TestNGrid:
                 "--values", "3,5", "--scaling", "scale:1e-300"]
         code, out, err = run(capsys, argv)
         assert code == 2 and out == "" and err.startswith("error: numeric overflow")
+
+    @pytest.mark.parametrize("values", ["1,400", "400,1"])
+    def test_shared_grid_fails_as_its_first_row_alone(self, capsys, values):
+        # under this scale the bottom level's expectation error is -inf and
+        # the top level's kernel overflows: each row meets its own walk's error
+        flags = ["--scheme", "hazard", "--p", "0.03", "--scaling", "scale:1e-310"]
+        code, out, err = run(capsys, ["sweep", *flags, "--target", "n", "--values", values])
+        alone = run(capsys, ["eval", *flags, "--n", values.split(",")[0]])
+        assert (code, out, err) == alone and code == 2
+
+    @pytest.mark.parametrize("n", [2, 5, 40])
+    @pytest.mark.parametrize("scheme", NESTING)
+    def test_nesting_trees_are_spines(self, scheme, n):
+        """Every internal node lies on the path of last branches: each
+        other branch ends in a terminal (see Scheme.nests_from)."""
+        fixed = NESTING[scheme]
+        node = SCHEMES[scheme].build(replace(fixed, n=n))
+        while isinstance(node, Internal):
+            assert all(isinstance(br.child, Terminal) for br in node.branches[:-1])
+            node = node.branches[-1].child

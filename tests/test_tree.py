@@ -20,7 +20,8 @@ from anticipated_surprise import (
     tree_to_dict,
     validate,
 )
-from anticipated_surprise.scaling import FixedScale, NoScaling, scaled_evaluation
+from anticipated_surprise.scaling import NoScaling, scaled_evaluation
+from anticipated_surprise.tree import Spine, _result
 from conftest import random_tree, trajectory_stage_surprises
 
 P = ModelParams()
@@ -274,41 +275,45 @@ class TestMartingaleAndDecomposition:
     def test_any_node_evaluates_from_the_whole_trees_report(self, scale):
         """A subtree evaluated from the report of the tree holding it gives
         the bits of the subtree evaluated on its own."""
-        rng, mode = random.Random(5), FixedScale(scale)
+        rng = random.Random(5)
         for _ in range(20):
             tree = random_tree(rng, max_depth=4)
             report = validate(tree)
             stack = [tree]
             while stack:
                 nd = stack.pop()
-                assert scaled_evaluation(nd, P, mode, report) == scaled_evaluation(nd, P, mode)
+                assert _result(nd, report, P, scale) == _result(nd, validate(nd), P, scale)
                 if isinstance(nd, Internal):
                     stack.extend(br.child for br in nd.branches)
 
-    @pytest.mark.parametrize("params,scale", [(P, 1.0), (ModelParams(k=5.0, alpha=2.2), 0.37)])
-    def test_jump_memo_gives_a_fresh_reports_bits(self, params, scale):
-        """One report with its jump memo on, evaluated at every node (each
-        below the nodes it holds, so their jumps are read from the memo),
-        gives the bits of a fresh report at each node."""
-        from anticipated_surprise.tree import _result
+    @pytest.mark.parametrize("params,scale,offset",
+                             [(P, 1.0, 0.0), (ModelParams(k=5.0, alpha=2.2), 0.37, 0.25)])
+    def test_spine_gives_a_fresh_reports_bits(self, params, scale, offset):
+        """The spine of each nesting scheme's tree, evaluated at every node
+        of its path in shuffled order (so rows read jumps computed for
+        others), gives the bits of a fresh report of that node's subtree."""
+        from anticipated_surprise.cli import SCHEMES, SchemePoint
 
         def bits(result):
             return [float.hex(x) for x in (result.expected_value, result.total_surprise,
                                            result.utility, *result.stage_surprises)]
 
         rng = random.Random(13)
-        for tree in [chain(0.03, 30), *(random_tree(rng, max_depth=4) for _ in range(20))]:
-            shared = validate(tree)
-            shared.jumps = dict.fromkeys(shared.conditional_values)
-            nodes, stack = [], [tree]
-            while stack:
-                nodes.append(stack.pop())
-                if isinstance(nodes[-1], Internal):
-                    stack.extend(br.child for br in nodes[-1].branches)
-            for nd in reversed(nodes):
-                want = _result(nd, validate(nd), params, scale)
-                assert bits(_result(nd, shared, params, scale)) == bits(want)
-            assert None not in shared.jumps.values()
+        # k_tr = 0 gives timing a stage of 0.0 * a negative jump: -0.0, which 0.0 + turns to 0.0
+        points = [SchemePoint(name, p=0.03, n=30, p_tr=0.3, k_tr=k_tr, p_pr=0.6)
+                  for name, entry in SCHEMES.items() if entry.nests_from is not None
+                  for k_tr in (3.0, 0.0)]
+        for point in points:
+            tree = SCHEMES[point.scheme].build(point)
+            spine = Spine(tree, validate(tree), params, scale)
+            assert len(spine.nodes) == validate(tree).max_depth
+            order = list(range(len(spine.nodes)))
+            rng.shuffle(order)
+            for i in order:
+                node = spine.nodes[i]
+                want = _result(node, validate(node), params, scale, offset)
+                assert bits(spine.result(i, offset)) == bits(want)
+                assert spine.expected_value(i) == validate(node).expected_value
 
 
 class TestCollapse:
