@@ -10,11 +10,14 @@ newlines, UTF-8, floats printed with 12 significant digits):
 The flags derive from ``ModelParams`` (model flags, defaults),
 ``SchemePoint`` (point flags, their help, ``eval``'s point columns),
 ``SCHEMES`` (what each scheme reads: required flags, sweep targets) and
-``FIGURES`` (what each figure reads, at its defaults); an unread flag exits 2.
-Every number is produced by the same single-point evaluator (exhaustive
-tree evaluation after optional outcome scaling), so figure cells equal
-what ``eval`` prints for the matching point; an unscaled sweep row hands
-its utility to its ratio instead of evaluating the tree again.  The only
+``FIGURES`` (what each figure reads, at its defaults, and what it sweeps);
+an unread flag exits 2.  Every number is produced by the same single-point
+evaluator (exhaustive tree evaluation after optional outcome scaling), so
+figure cells equal what ``eval`` prints for the matching point; an
+unscaled sweep row hands its utility to its ratio instead of evaluating
+the tree again.  A figure is sweeps of a few fixed points over one grid,
+so its columns are sweep columns: ``sweep`` and every figure but figA3
+draw their rows from one generator, ``iter_rows``.  The only
 closed-form-only quantity is the fixed-delay comparison utility inside
 timing ratios, whose fractional delay has no tree.
 
@@ -114,7 +117,8 @@ class Scheme(NamedTuple):
     build: the point's tree
     column, ratio: its sweeps' ratio column, and
         ratio(point, params, k2_prob, u, memo), u being the point's unscaled
-        utility and memo a dict that lives for one sweep (see dual_ratio_point)
+        utility and memo a dict that lives for one sweep or one figure, all
+        its series (see dual_ratio_point)
     ratio_flags: the sweep flags that ratio reads
     nests_from: if its trees nest in n, the smallest n it takes; the tree
         at n + 1 is then one level whose last branch leads to the tree at
@@ -247,8 +251,7 @@ def timing_ratio_point(point: SchemePoint, params: ModelParams, u: float | None 
     A caller that has already evaluated the point unscaled may pass its
     utility ``u``.
     """
-    if u is None:
-        u = evaluate_point(point, params, AffineTransform())[2]
+    u = evaluate_point(point, params, AffineTransform())[2] if u is None else u
     spec = TimingRiskSpec(point.p, point.n, point.p_tr, point.k_tr)
     return _ratio(u, discount_factor(HazardSpec(spec.p, mean_delay(spec)), params), point)
 
@@ -263,19 +266,39 @@ def dual_ratio_point(point: SchemePoint, params: ModelParams, k2_prob: float,
     keeps each under (p, n) and p_pr once evaluated.  A caller that has
     already evaluated the point unscaled may pass its utility ``u`` (U_pt).
     """
-    if memo is None:
-        memo = {}
-    u_t = memo.get((point.p, point.n))
-    if u_t is None:
+    memo = {} if memo is None else memo
+    if (point.p, point.n) not in memo:
         hazard = SchemePoint("hazard", p=point.p, n=point.n)
-        u_t = memo[point.p, point.n] = evaluate_point(hazard, params, AffineTransform())[2]
-    u_p = memo.get(point.p_pr)
-    if u_p is None:
+        memo[point.p, point.n] = evaluate_point(hazard, params, AffineTransform())[2]
+    if point.p_pr not in memo:
         gamble = SchemePoint("gamble", hi=1.0, lo=0.0, p=point.p_pr)
-        u_p = memo[point.p_pr] = evaluate_point(gamble, replace(params, k2=k2_prob), AffineTransform())[2]
-    if u is None:
-        u = evaluate_point(point, params, AffineTransform())[2]
-    return _ratio(u, u_p * u_t, point)
+        memo[point.p_pr] = evaluate_point(gamble, replace(params, k2=k2_prob), AffineTransform())[2]
+    u = evaluate_point(point, params, AffineTransform())[2] if u is None else u
+    return _ratio(u, memo[point.p_pr] * memo[point.p, point.n], point)
+
+
+def iter_rows(fixed: SchemePoint, target: str, values: Sequence[float], params: ModelParams,
+              mode: ScalingMode, k2_prob: float | None, memo: dict) -> Iterator[list[float]]:
+    """[value, u0, delta, utility] of fixed with its field target set to
+    each value, in list order, plus its scheme's ratio if it has one, with
+    the ratio's memo (see ``Scheme``); a bad value raises when reached."""
+    ratio = SCHEMES[fixed.scheme].ratio
+    # a ratio is made of unscaled utilities: the row's own if unscaled
+    unscaled = mode == AffineTransform()
+    plain = None if unscaled else evaluate_grid(fixed, target, values, params, AffineTransform())
+    for point, (u0, delta, util) in evaluate_grid(fixed, target, values, params, mode):
+        row = [getattr(point, target), u0, delta, util]
+        if ratio is not None:
+            u = util if unscaled else next(plain)[1][2]
+            row.append(ratio(point, params, k2_prob, u, memo))
+        yield row
+
+
+def check_k2_prob(value: float) -> float:
+    """value, the dual ratio's --k2-prob; ValidationError unless finite and >= 0."""
+    if not (math.isfinite(value) and value >= 0.0):
+        raise ValidationError(f"--k2-prob must be finite and >= 0, got {value!r}")
+    return value
 
 
 # --- eval -------------------------------------------------------------------
@@ -308,39 +331,65 @@ def csv_field(text: str) -> str:
 
 # --- figures ----------------------------------------------------------------
 
-#: Hazard-chain figures over n = 1..50: header, and the columns after n
-#: as a function of (n, surprise, utility).
-_HAZARD_FIGURES = {
-    "fig3-left": (["n", "surprise_magnitude", "linear_reference"],
-                  lambda n, delta, util: [abs(delta), 0.088 * n]),
-    "fig3-right": (["n", "discount_factor", "exponential", "hyperbolic"],
-                   lambda n, delta, util: [util, math.exp(-0.3 * n), 1.0 / (1.0 + 0.88 * n)]),
-    "figA1": (["n", "discount_factor", "exponential"],
-              lambda n, delta, util: [util, math.exp(-0.2 * n)]),
-}
+
+class Figure(NamedTuple):
+    """A named figure data set: sweeps of its series over one grid, read a
+    row of each at a time.
+
+    reads: the parameters it reads, at their defaults: its flags
+    columns: the names of its columns after the target's
+    target, grid: the swept point field and its values
+    series: the fixed points it sweeps, each given the p and n it reads
+    cells: a row's cells after the target, from the series' sweep rows
+        [x, u0, delta, utility, ratio if the scheme has one], in order
+    """
+
+    reads: dict
+    columns: tuple[str, ...]
+    target: str
+    grid: Sequence[float]
+    series: tuple[SchemePoint, ...] = ()
+    cells: Callable[..., list[float]] = lambda *rows: [row[4] for row in rows]
 
 
-def _figure(**defaults) -> dict:
-    """A figure's parameters: the model's at their defaults, updated by defaults."""
+def _reads(**defaults) -> dict:
+    """The model's parameters at their defaults, updated by defaults."""
     return {**vars(ModelParams()), **defaults}
 
 
-#: Each figure id, in presentation order, and the parameters it reads at
-#: their defaults; its grid and columns are code in figure_rows.
+_HAZARD = (SchemePoint("hazard"),)
+_TIMING = tuple(SchemePoint("timing", p_tr=0.5, k_tr=k_tr) for k_tr in (10.0, 0.0))
+_DUAL = tuple(map(SchemePoint, ("dual-a-after", "dual-a-before", "dual-b")))
+_TIMING_COLUMNS = ("ratio_weighted", "ratio_unweighted")
+_DUAL_COLUMNS = ("ratio_separate_after", "ratio_separate_before", "ratio_incorporated")
+
+#: Each figure id, in presentation order: the parameters it reads at their
+#: defaults, and the sweeps its rows are made of.  figA3, whose x sets hi,
+#: p and a scale together, is evaluated point by point (see figure_rows).
 FIGURES = {
-    "fig1": _figure(),
-    "fig3-left": _figure(k2=10.0, p=0.03),
-    "fig3-right": _figure(k2=10.0, p=0.03),
-    "fig5-left": _figure(k2=10.0, p=0.03),
-    "fig5-right": _figure(k2=10.0, p=0.03, n=4),
-    "fig7": _figure(k2=10.0, p=0.03, n=4, k2_prob=2.0),
-    "figA1": _figure(modulation=Modulation.EXPONENTIAL_NEGATIVE, p=0.03),
-    "figA2": _figure(k2=10.0, p=0.03, n=4, k2_prob=10.0),
-    "figA3": _figure(),
+    "fig1": Figure(_reads(), ("utility",), "p", grid_points(0.01, 0.99, 99),
+                   (SchemePoint("gamble", hi=1.0, lo=0.0),), lambda row: [row[3]]),
+    "fig3-left": Figure(_reads(k2=10.0, p=0.03), ("surprise_magnitude", "linear_reference"), "n",
+                        range(1, 51), _HAZARD, lambda row: [abs(row[2]), 0.088 * row[0]]),
+    "fig3-right": Figure(_reads(k2=10.0, p=0.03), ("discount_factor", "exponential", "hyperbolic"),
+                         "n", range(1, 51), _HAZARD, lambda row: [row[3], math.exp(-0.3 * row[0]),
+                                                                  1.0 / (1.0 + 0.88 * row[0])]),
+    "fig5-left": Figure(_reads(k2=10.0, p=0.03), _TIMING_COLUMNS, "n", range(2, 13), _TIMING),
+    "fig5-right": Figure(_reads(k2=10.0, p=0.03, n=4), _TIMING_COLUMNS, "p_tr",
+                         grid_points(0.05, 0.95, 91), _TIMING),
+    "fig7": Figure(_reads(k2=10.0, p=0.03, n=4, k2_prob=2.0), _DUAL_COLUMNS, "p_pr",
+                   grid_points(0.3, 0.99, 70), _DUAL),
+    "figA1": Figure(_reads(modulation=Modulation.EXPONENTIAL_NEGATIVE, p=0.03),
+                    ("discount_factor", "exponential"), "n", range(1, 51), _HAZARD,
+                    lambda row: [row[3], math.exp(-0.2 * row[0])]),
+    "figA2": Figure(_reads(k2=10.0, p=0.03, n=4, k2_prob=10.0), _DUAL_COLUMNS, "p_pr",
+                    grid_points(0.05, 0.99, 95), _DUAL),
+    "figA3": Figure(_reads(), ("utility_unscaled", "utility_full", "utility_partial"), "p",
+                    grid_points(0.01, 0.5, 50)),
 }
 #: The figure command's flags: every number some figure reads.
-FIGURE_FLAGS = tuple(dict.fromkeys(name for defaults in FIGURES.values() for name, value
-                                   in defaults.items() if not isinstance(value, Modulation)))
+FIGURE_FLAGS = tuple(dict.fromkeys(name for fig in FIGURES.values() for name, value
+                                   in fig.reads.items() if not isinstance(value, Modulation)))
 
 
 def figure_rows(fig_id: str, overrides: dict | None = None) -> tuple[list[str], list[list[float]]]:
@@ -352,57 +401,31 @@ def figure_rows(fig_id: str, overrides: dict | None = None) -> tuple[list[str], 
     """
     if fig_id not in FIGURES:
         raise ValidationError(f"unknown figure id {fig_id!r}; expected one of {', '.join(FIGURES)}")
+    fig = FIGURES[fig_id]
     given = {name: value for name, value in (overrides or {}).items() if value is not None}
-    unread = [flag(name) for name in given if name not in FIGURES[fig_id]]
+    unread = [flag(name) for name in given if name not in fig.reads]
     if unread:
         raise ValidationError(f"figure {fig_id!r} does not read {', '.join(unread)}")
-    v = {**FIGURES[fig_id], **given}
+    v = {**fig.reads, **given}
     params = ModelParams(**{f.name: v[f.name] for f in fields(ModelParams)})
-    p, n = v.get("p"), v.get("n")
-    if n is not None:
-        n = whole(n, "--n must be a whole number")
-    rows = []
-
-    if fig_id == "fig1":
-        for x in grid_points(0.01, 0.99, 99):
-            point = SchemePoint("gamble", hi=1.0, lo=0.0, p=x)
-            rows.append([x, evaluate_point(point, params, AffineTransform())[2]])
-        return ["p", "utility"], rows
-
-    if fig_id in _HAZARD_FIGURES:
-        header, columns = _HAZARD_FIGURES[fig_id]
-        grid = evaluate_grid(SchemePoint("hazard", p=p), "n", range(1, 51), params, AffineTransform())
-        for point, (_, delta, util) in grid:
-            rows.append([float(point.n), *columns(point.n, delta, util)])
+    if v.get("n") is not None:
+        v["n"] = whole(v["n"], "--n must be a whole number")
+    k2_prob = check_k2_prob(v["k2_prob"]) if "k2_prob" in v else None
+    header, rows = [fig.target, *fig.columns], []
+    if not fig.series:
+        # figA3: the full range is [0, 1/p]; partial divides by (1/p)**(1/alpha)
+        for x in fig.grid:
+            point = SchemePoint("gamble", hi=1.0 / x, lo=0.0, p=x)
+            modes = (AffineTransform(), PartialScaling(), AffineTransform(x ** (-1.0 / params.alpha)))
+            rows.append([x, *(evaluate_point(point, params, mode)[2] for mode in modes)])
         return header, rows
-
-    if fig_id in ("fig5-left", "fig5-right"):
-        # left: n = 2..12 at p_tr = 0.5; right: the p_tr grid at n; a grid per k_tr
-        left = fig_id == "fig5-left"
-        target, xs = ("n", range(2, 13)) if left else ("p_tr", grid_points(0.05, 0.95, 91))
-        grids = [evaluate_grid(SchemePoint("timing", p=p, n=n, p_tr=0.5, k_tr=k_tr),
-                               target, xs, params, AffineTransform()) for k_tr in (10.0, 0.0)]
-        for x in xs:
-            cells = map(next, grids)
-            rows.append([float(x), *(timing_ratio_point(point, params, u) for point, (_, _, u) in cells)])
-        return ["n" if left else "p_tr", "ratio_weighted", "ratio_unweighted"], rows
-
-    if fig_id in ("fig7", "figA2"):
-        xs = grid_points(0.3, 0.99, 70) if fig_id == "fig7" else grid_points(0.05, 0.99, 95)
-        memo: dict = {}
-        for p_pr in xs:
-            points = [SchemePoint(s, p=p, n=n, p_pr=p_pr)
-                      for s in ("dual-a-after", "dual-a-before", "dual-b")]
-            rows.append([p_pr, *(dual_ratio_point(pt, params, v["k2_prob"], memo=memo)
-                                 for pt in points)])
-        return ["p_pr", "ratio_separate_after", "ratio_separate_before", "ratio_incorporated"], rows
-
-    # figA3: the full range is [0, 1/p]; partial divides by (1/p)**(1/alpha)
-    for x in grid_points(0.01, 0.5, 50):
-        point = SchemePoint("gamble", hi=1.0 / x, lo=0.0, p=x)
-        modes = (AffineTransform(), PartialScaling(), AffineTransform(x ** (-1.0 / params.alpha)))
-        rows.append([x, *(evaluate_point(point, params, mode)[2] for mode in modes)])
-    return ["p", "utility_unscaled", "utility_full", "utility_partial"], rows
+    # one ratio memo serves every series (see Scheme); zip reads a row of each
+    # at a time, in the order of a row-by-row evaluation, and lists no series
+    memo: dict = {}
+    fixed = {name: v[name] for name in POINT_FIELDS if name in v}
+    series = [iter_rows(replace(point, **fixed), fig.target, fig.grid, params, AffineTransform(),
+                        k2_prob, memo) for point in fig.series]
+    return header, [[float(cells[0][0]), *fig.cells(*cells)] for cells in zip(*series)]
 
 
 def render_csv(header: list[str], rows: list[list[float]]) -> str:
@@ -430,46 +453,24 @@ def cmd_figure(args: argparse.Namespace) -> int:
 # --- sweep ------------------------------------------------------------------
 
 
-def sweep_rows(
-    target: str,
-    values: list[float],
-    fixed: SchemePoint,
-    params: ModelParams,
-    mode: ScalingMode,
-    k2_prob: float,
-) -> tuple[list[str], list[list[float]]]:
+def sweep_rows(target: str, values: list[float], fixed: SchemePoint, params: ModelParams,
+               mode: ScalingMode, k2_prob: float) -> tuple[list[str], list[list[float]]]:
     """Header and rows of fixed's scheme with its field target set to each value."""
     entry = SCHEMES.get(fixed.scheme)
     if entry is None or target not in entry.fields:
         raise ValidationError(f"target {target!r} does not apply to scheme {fixed.scheme!r}")
-    header = [target, "u0", "delta", "utility"]
-    if entry.column is not None:
-        header.append(entry.column)
-    # a ratio is made of unscaled utilities: the row's own if unscaled
-    unscaled = mode == AffineTransform()
-    plain = None if unscaled else evaluate_grid(fixed, target, values, params, AffineTransform())
-    memo: dict = {}
-    rows = []
-    for point, (u0, delta, util) in evaluate_grid(fixed, target, values, params, mode):
-        row = [getattr(point, target), u0, delta, util]
-        if entry.ratio is not None:
-            u = util if unscaled else next(plain)[1][2]
-            row.append(entry.ratio(point, params, k2_prob, u, memo))
-        rows.append(row)
-    return header, rows
+    header = [target, "u0", "delta", "utility", *[entry.column] * (entry.column is not None)]
+    return header, list(iter_rows(fixed, target, values, params, mode, k2_prob, {}))
 
 
 def cmd_sweep(args: argparse.Namespace) -> int:
     params = _params_from(args)
     mode = parse_scaling_mode(args.scaling)
     fixed = _point_from(args)
-    k2_prob = args.k2_prob
-    if k2_prob is None:
-        k2_prob = DualRiskSpec.k2_prob
-    elif "k2_prob" not in getattr(SCHEMES.get(fixed.scheme), "ratio_flags", ()):
+    reads_k2_prob = "k2_prob" in getattr(SCHEMES.get(fixed.scheme), "ratio_flags", ())
+    if args.k2_prob is not None and not reads_k2_prob:
         raise ValidationError(f"scheme {args.scheme!r} does not read --k2-prob")
-    elif not (math.isfinite(k2_prob) and k2_prob >= 0.0):
-        raise ValidationError(f"--k2-prob must be finite and >= 0, got {k2_prob!r}")
+    k2_prob = DualRiskSpec.k2_prob if args.k2_prob is None else check_k2_prob(args.k2_prob)
     if args.grid is not None and args.values is not None:
         raise ValidationError("give either --grid or --values, not both")
     if args.grid is not None:

@@ -149,7 +149,7 @@ def scaled_evaluation(
         transform=transform,
         scaled=scaled,
         utility=transform.invert_utility(scaled.utility),
-        raw_expected_value=report.value_of(node),
+        raw_expected_value=report.expected_value,
     )
 
 

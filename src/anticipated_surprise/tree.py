@@ -69,9 +69,8 @@ class ValidationReport:
     evaluation.  The walk also yields what evaluation needs: the payoff
     range, the root's expected value and, in ``conditional_values``, the
     conditional expected value of every internal node keyed by ``id()``
-    (valid while the tree it was computed from is alive).  Any node of the
-    tree evaluates from this report as a tree of its own (see ``_result``);
-    a ``Spine`` evaluates every node down the last branches from it.
+    (valid while the tree it was computed from is alive).  A ``Spine``
+    evaluates every node down the last branches from it.
     """
 
     node_count: int = 0
@@ -83,10 +82,6 @@ class ValidationReport:
     conditional_values: dict[int, float] = field(
         default_factory=dict, repr=False, compare=False
     )
-
-    def value_of(self, node: ResolutionNode) -> float:
-        """Conditional expected value of node, a node of the validated tree."""
-        return node.payoff if isinstance(node, Terminal) else self.conditional_values[id(node)]
 
 
 @dataclass(frozen=True)
@@ -174,7 +169,7 @@ def validate(node: ResolutionNode) -> ValidationReport:
     report.node_count = count
     report.max_depth = max_depth
     report.payoff_min, report.payoff_max = lo, hi
-    report.expected_value = report.value_of(node)
+    report.expected_value = node.payoff if isinstance(node, Terminal) else values[id(node)]
     return report
 
 
@@ -260,13 +255,12 @@ def _result(
     scale: float = 1.0,
     offset: float = 0.0,
 ) -> EvaluationResult:
-    """Evaluation of a validated tree, from its report, with every payoff
+    """Evaluation of the tree node from its own report, with every payoff
     x read as (x - offset) / scale.  Conditional values map the same way,
     so the offset cancels in each jump and the jumps are divided by scale;
-    the identity (1, 0) leaves every float as it is.  node may be any node
-    of the validated tree: its subtree is evaluated as a tree of its own."""
+    the identity (1, 0) leaves every float as it is."""
     surprises = _stage_surprises(node, report.conditional_values, params, scale)
-    return _finished(surprises, (report.value_of(node) - offset) / scale, params)
+    return _finished(surprises, (report.expected_value - offset) / scale, params)
 
 
 def _finished(surprises: list[float], u0: float, params: ModelParams) -> EvaluationResult:

@@ -543,8 +543,8 @@ class TestUnreadFlags:
 
     @pytest.mark.parametrize(
         "fig_id,name",
-        [(fig_id, name) for fig_id, reads in FIGURES.items() for name in FIGURE_FLAGS
-         if name not in reads],
+        [(fig_id, name) for fig_id, fig in FIGURES.items() for name in FIGURE_FLAGS
+         if name not in fig.reads],
     )
     def test_figure_rejects_unread_flag(self, capsys, fig_id, name):
         code, out, err = run(capsys, ["figure", fig_id, "--out", "-", *flags_for([name])])
@@ -577,10 +577,12 @@ class TestUnreadFlags:
         assert code == 0 and out != default
 
     @pytest.mark.parametrize("value", ["-1", "nan", "inf"])
-    def test_bad_k2_prob_names_the_flag(self, capsys, value):
-        code, out, err = run(capsys, [*scheme_argv("sweep", "dual-b"), "--k2-prob", value])
-        assert code == 2 and out == ""
-        assert err == f"error: --k2-prob must be finite and >= 0, got {float(value)!r}\n"
+    def test_bad_k2_prob_names_the_flag(self, capsys, tmp_path, monkeypatch, value):
+        monkeypatch.chdir(tmp_path)
+        for argv in (scheme_argv("sweep", "dual-b"), ["figure", "fig7"], ["figure", "figA2"]):
+            code, out, err = run(capsys, [*argv, "--k2-prob", value])
+            assert code == 2 and out == "" and list(tmp_path.iterdir()) == []
+            assert err == f"error: --k2-prob must be finite and >= 0, got {float(value)!r}\n"
 
     def test_eval_has_no_k2_prob(self, capsys):
         with pytest.raises(SystemExit) as exc:
@@ -722,6 +724,19 @@ def count_walks(monkeypatch) -> list:
     return calls
 
 
+#: (figure id, validation walks, kernel calls) of one figure_rows call.
+FIGURE_WORK = [
+    # a tree per point, two branches each
+    ("fig1", 99, 198), ("figA3", 150, 300),
+    # one shared n-grid tree, for fig5-left one per k_tr
+    ("fig3-left", 1, 100), ("fig3-right", 1, 100), ("figA1", 1, 100), ("fig5-left", 2, 56),
+    # a p_tr grid shares nothing: 91 points at each of two k_tr
+    ("fig5-right", 182, 2184),
+    # three dual series share one memo: U_t once, U_p once per p_pr
+    ("fig7", 1 + 70 + 3 * 70, 2108), ("figA2", 1 + 95 + 3 * 95, 2858),
+]
+
+
 class TestHelpers:
     def test_timing_ratio_point_matches_library(self):
         from anticipated_surprise import TimingRiskSpec, timing_ratio
@@ -797,19 +812,21 @@ class TestHelpers:
         assert code == 0 and len(out.strip().split("\n")) == 6
         assert len(calls) == 11
 
-    @pytest.mark.parametrize(
-        "fig_id,walks",
-        [
-            # one shared n-grid tree, for fig5-left one per k_tr
-            ("fig3-left", 1), ("fig3-right", 1), ("figA1", 1), ("fig5-left", 2),
-            # a p_tr grid shares nothing: 91 points at each of two k_tr
-            ("fig5-right", 182),
-        ],
-    )
-    def test_figure_walks_each_tree_once_per_grid(self, monkeypatch, fig_id, walks):
-        calls = count_walks(monkeypatch)
+    @pytest.mark.parametrize("fig_id,walks,kernels", FIGURE_WORK,
+                             ids=[f"{fig_id}-{walks}" for fig_id, walks, _ in FIGURE_WORK])
+    def test_figure_walks_each_tree_once_per_grid(self, monkeypatch, fig_id, walks, kernels):
+        from anticipated_surprise import tree
+
+        calls, kernel_calls = count_walks(monkeypatch), []
+        kernel = tree.surprise_kernel
+
+        def counting(z, params):
+            kernel_calls.append(z)
+            return kernel(z, params)
+
+        monkeypatch.setattr(tree, "surprise_kernel", counting)
         figure_rows(fig_id)
-        assert len(calls) == walks
+        assert (len(calls), len(kernel_calls)) == (walks, kernels)
 
     def test_evaluate_point_u0_is_raw(self):
         point = SchemePoint("gamble", hi=10.0, lo=-10.0, p=0.5)

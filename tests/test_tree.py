@@ -271,21 +271,6 @@ class TestMartingaleAndDecomposition:
                 sum(result.stage_surprises), abs=1e-12
             )
 
-    @pytest.mark.parametrize("scale", [1.0, 2.0])
-    def test_any_node_evaluates_from_the_whole_trees_report(self, scale):
-        """A subtree evaluated from the report of the tree holding it gives
-        the bits of the subtree evaluated on its own."""
-        rng = random.Random(5)
-        for _ in range(20):
-            tree = random_tree(rng, max_depth=4)
-            report = validate(tree)
-            stack = [tree]
-            while stack:
-                nd = stack.pop()
-                assert _result(nd, report, P, scale) == _result(nd, validate(nd), P, scale)
-                if isinstance(nd, Internal):
-                    stack.extend(br.child for br in nd.branches)
-
     @pytest.mark.parametrize("params,scale,offset",
                              [(P, 1.0, 0.0), (ModelParams(k=5.0, alpha=2.2), 0.37, 0.25)])
     def test_spine_gives_a_fresh_reports_bits(self, params, scale, offset):
