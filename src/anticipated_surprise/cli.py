@@ -22,7 +22,7 @@ closed-form-only quantity is the fixed-delay comparison utility inside
 timing ratios, whose fractional delay has no tree.
 
 Exit codes: 0 ok, 1 i/o failure, 2 validation failure, overflow, undefined
-ratio or exhausted memory.
+ratio, subnormal u0 or utility, or exhausted memory.
 """
 
 from __future__ import annotations
@@ -46,9 +46,12 @@ from .closed_form import (
     HazardSpec,
     TimingRiskSpec,
     discount_factor,
+    dual_surprise,
+    hazard_total_surprise,
     mean_delay,
+    timing_components,
 )
-from .core import ModelParams, Modulation, ValidationError, is_whole
+from .core import ModelParams, Modulation, ValidationError, is_whole, utility
 from .scaling import (AffineTransform, PartialScaling, ScalingMode, parse_scaling_mode,
                       reads_payoff_range, scaled_evaluation)
 from .tree import ResolutionNode, Spine, load_tree, validate
@@ -125,6 +128,8 @@ class Scheme(NamedTuple):
         n and whose other branches end in terminals, so every tree of the
         scheme is a spine: its internal nodes all lie on the path of last
         branches (see evaluate_grid and tree.Spine)
+    closed: closed(point, params), the point's (total surprise, utility)
+        from the closed forms, which the tree must match; None if it has none
     """
 
     fields: tuple[str, ...]
@@ -133,30 +138,50 @@ class Scheme(NamedTuple):
     ratio: Callable[..., float] | None = None
     ratio_flags: tuple[str, ...] = ()
     nests_from: int | None = None
+    closed: Callable[[SchemePoint, ModelParams], tuple[float, float]] | None = None
 
 
 def _dual(build: Callable[[DualRiskSpec], ResolutionNode], scheme: DualScheme) -> Scheme:
     """A dual-risk entry: build a DualRiskSpec of the point under scheme."""
+    def spec(pt: SchemePoint) -> DualRiskSpec:
+        return DualRiskSpec(pt.p, pt.n, pt.p_pr, scheme)
     return Scheme(
         ("p", "n", "p_pr"),
-        lambda pt: build(DualRiskSpec(pt.p, pt.n, pt.p_pr, scheme)),
+        lambda pt: build(spec(pt)),
         "discount_ratio",
         lambda pt, params, k2_prob, u, memo: dual_ratio_point(pt, params, k2_prob, u, memo),
         ("k2_prob",),
+        closed=lambda pt, params: _closed(dual_surprise(spec(pt), params),
+                                          pt.p_pr * (1.0 - pt.p) ** pt.n, params),
     )
 
 
-# Entries call builders and ratio helpers by their module-level names at
-# call time, so rebinding those names (as a tracer does) reaches them.
+def _closed(delta: float, u0: float, params: ModelParams) -> tuple[float, float]:
+    """A closed form's total surprise delta and the utility of expected value u0."""
+    return delta, utility(u0, delta, params)
+
+
+def _timing_closed(pt: SchemePoint, params: ModelParams) -> tuple[float, float]:
+    comps = timing_components(TimingRiskSpec(pt.p, pt.n, pt.p_tr, pt.k_tr), params)
+    return _closed(comps.delta_total, comps.e_tr, params)
+
+
+# Entries call builders, closed forms and ratio helpers by their module-level
+# names at call time, so rebinding those names (as a tracer does) reaches them.
 SCHEMES = {
     "gamble": Scheme(("hi", "lo", "p"), lambda pt: build_binary_gamble(pt.hi, pt.lo, pt.p)),
-    "hazard": Scheme(("p", "n"), lambda pt: build_hazard_chain(pt.p, pt.n), nests_from=1),
+    "hazard": Scheme(
+        ("p", "n"), lambda pt: build_hazard_chain(pt.p, pt.n), nests_from=1,
+        closed=lambda pt, params: (hazard_total_surprise(HazardSpec(pt.p, pt.n), params),
+                                   discount_factor(HazardSpec(pt.p, pt.n), params)),
+    ),
     "timing": Scheme(
         ("p", "n", "p_tr", "k_tr"),
         lambda pt: build_timing_risk(TimingRiskSpec(pt.p, pt.n, pt.p_tr, pt.k_tr)),
         "timing_ratio",
         lambda pt, params, k2_prob, u, memo: timing_ratio_point(pt, params, u),
         nests_from=2,
+        closed=_timing_closed,
     ),
     "dual-a-after": _dual(lambda spec: build_dual_scheme_a(spec),
                           DualScheme.SEPARATE_AFTER)._replace(nests_from=1),
@@ -245,6 +270,16 @@ def _ratio(utility: float, reference: float, point: SchemePoint) -> float:
     return utility / reference
 
 
+def _refuse_subnormal(point: SchemePoint, **columns: float) -> None:
+    """ValidationError if a column of point's row is a nonzero subnormal
+    float, which has lost most of the digits it would print (see _ratio)."""
+    for column, value in columns.items():
+        if 0.0 < abs(value) < sys.float_info.min:
+            row = ", ".join(f"{name}={getattr(point, name)!r}" for name in reads(point))
+            raise ValidationError(f"{column} at {row or 'tree:' + point.tree_path} underflows "
+                                  f"to the subnormal {value!r}")
+
+
 def timing_ratio_point(point: SchemePoint, params: ModelParams, u: float | None = None) -> float:
     """Tree-based timing-lottery utility over the fixed-delay closed form.
 
@@ -291,6 +326,7 @@ def iter_rows(fixed: SchemePoint, target: str, values: Sequence[float], params: 
         if ratio is not None:
             u = util if unscaled else next(plain)[1][2]
             row.append(ratio(point, params, k2_prob, u, memo))
+        _refuse_subnormal(point, u0=u0, utility=util)
         yield row
 
 
@@ -309,6 +345,7 @@ def cmd_eval(args: argparse.Namespace) -> int:
     mode = parse_scaling_mode(args.scaling)
     point = _point_from(args)
     u0, delta, util = evaluate_point(point, params, mode)
+    _refuse_subnormal(point, u0=u0, utility=util)
     read = reads(point)
     row = {
         "scheme": args.scheme,
@@ -417,7 +454,9 @@ def figure_rows(fig_id: str, overrides: dict | None = None) -> tuple[list[str], 
         for x in fig.grid:
             point = SchemePoint("gamble", hi=1.0 / x, lo=0.0, p=x)
             modes = (AffineTransform(), PartialScaling(), AffineTransform(x ** (-1.0 / params.alpha)))
-            rows.append([x, *(evaluate_point(point, params, mode)[2] for mode in modes)])
+            utilities = [evaluate_point(point, params, mode)[2] for mode in modes]
+            _refuse_subnormal(point, **dict(zip(fig.columns, utilities)))
+            rows.append([x, *utilities])
         return header, rows
     # one ratio memo serves every series (see Scheme); zip reads a row of each
     # at a time, in the order of a row-by-row evaluation, and lists no series

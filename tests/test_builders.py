@@ -7,7 +7,6 @@ from anticipated_surprise import (
     DualRiskSpec,
     DualScheme,
     FullScaling,
-    HazardSpec,
     Internal,
     ModelParams,
     ScenarioSpec,
@@ -24,7 +23,6 @@ from anticipated_surprise import (
     evaluate,
     evaluate_scaled,
     expected_value,
-    hazard_total_surprise,
     stage_surprises,
     tree_from_dict,
     tree_to_dict,
@@ -78,14 +76,6 @@ class TestHazardChain:
         assert expected_value(build_hazard_chain(0.03, 4)) == pytest.approx(
             0.97**4, abs=1e-14
         )
-
-    def test_matches_closed_form(self):
-        for p in GRID_P:
-            for n in (1, 3, 7, 12):
-                got = evaluate(build_hazard_chain(p, n), P).total_surprise
-                assert got == pytest.approx(
-                    hazard_total_surprise(HazardSpec(p, n), P), abs=1e-9
-                )
 
     def test_rejects_bad_inputs(self):
         with pytest.raises(ValidationError):

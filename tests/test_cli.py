@@ -685,6 +685,51 @@ class TestUndefinedRatio:
                               "to the subnormal 6.83") and err.count("\n") == 1
 
 
+class TestSubnormalColumns:
+    """A printed u0 or utility below the smallest normal float exits 2: a
+    deep chain's value stalls among the subnormals instead of shrinking."""
+
+    @pytest.mark.parametrize(
+        "argv, line",
+        [
+            # q**n is about 1e-397, yet the tree's value stalls at 8e-323
+            (["eval", "--scheme", "hazard", "--p", "0.03", "--n", "30000"],
+             "u0 at p=0.03, n=30000 underflows to the subnormal 8e-323"),
+            (["eval", "--scheme", "gamble", "--hi", "1e-320", "--lo", "0", "--p", "0.5"],
+             "u0 at hi=1e-320, lo=0.0, p=0.5 underflows to the subnormal 5e-321"),
+            # the 20,000 row is normal; the 24,000 row is off by 2e-6 relative
+            (["sweep", "--scheme", "hazard", "--p", "0.03", "--target", "n",
+              "--values", "20000,24000,30000"],
+             "u0 at p=0.03, n=24000 underflows to the subnormal 3.3237e-318"),
+            (["sweep", "--scheme", "hazard", "--n", "24000", "--target", "p", "--values",
+              "0.01,0.03", "--scaling", "full"],
+             "u0 at p=0.03, n=24000 underflows to the subnormal 3.3237e-318"),
+            (["figure", "fig3-right", "--p", "0.99999999", "--out", "-"],
+             "u0 at p=0.99999999, n=39 underflows to the subnormal 1.000000195965e-312"),
+            (["figure", "figA3", "--k", "1e155", "--k2", "1e155", "--out", "-"],
+             "utility_partial at hi=100.0, lo=0.0, p=0.01 underflows to the subnormal "
+             "1.0101010101010137e-308"),
+        ],
+    )
+    def test_exits_2_naming_column_row_and_value(self, capsys, argv, line):
+        code, out, err = run(capsys, argv)
+        assert (code, out, err) == (2, "", f"error: {line}\n")
+
+    def test_tree_file_row_is_named_by_its_path(self, capsys, tmp_path):
+        path = tmp_path / "tiny.json"
+        path.write_text('{"payoff": 1e-320}')
+        code, out, err = run(capsys, ["eval", "--scheme", f"tree:{path}"])
+        assert (code, out) == (2, "")
+        assert err == f"error: u0 at tree:{path} underflows to the subnormal 1e-320\n"
+
+    def test_subnormal_delta_prints(self, capsys):
+        # only u0 and utility are refused
+        code, out, err = run(capsys, ["eval", "--scheme", "gamble", "--hi", "1e-200", "--lo", "0",
+                                      "--p", "0.5"])
+        assert (code, err) == (0, "")
+        assert out.splitlines()[1].endswith(",none,5e-201,-3.30035851422e-321,5e-201")
+
+
 def test_exhausted_memory_exits_2_with_one_line():
     """Run in a child process that limits its own address space."""
     resource = pytest.importorskip("resource")

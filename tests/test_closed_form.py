@@ -73,14 +73,6 @@ class TestHazardTotal:
                 total = sum(hazard_stage_surprise(spec, t, P) for t in range(1, n + 1))
                 assert hazard_total_surprise(spec, P) == pytest.approx(total, abs=1e-12)
 
-    def test_matches_tree_on_grid(self):
-        for p in GRID_P:
-            for n in range(1, 13):
-                tree_total = evaluate(build_hazard_chain(p, n), P).total_surprise
-                assert hazard_total_surprise(HazardSpec(p, n), P) == pytest.approx(
-                    tree_total, abs=1e-9
-                )
-
     def test_single_step_equals_single_stage_gamble_expression(self):
         # at n=1 the chain is the gamble paying 1 with probability q
         for i in range(1, 99):
@@ -251,22 +243,6 @@ class TestTimingRatio:
 
 
 class TestDualSurprise:
-    def test_matches_trees_on_grid(self):
-        builders = {
-            DualScheme.SEPARATE_AFTER: build_dual_scheme_a,
-            DualScheme.SEPARATE_BEFORE: build_dual_scheme_a,
-            DualScheme.INCORPORATED: build_dual_scheme_b,
-        }
-        for p in GRID_P:
-            for n in range(1, 13):
-                for p_pr in GRID_FRAC:
-                    for scheme, build in builders.items():
-                        spec = DualRiskSpec(p, n, p_pr, scheme)
-                        tree_total = evaluate(build(spec), P).total_surprise
-                        assert dual_surprise(spec, P) == pytest.approx(
-                            tree_total, abs=1e-9
-                        ), (p, n, p_pr, scheme)
-
     def test_sure_success_reduces_to_plain_chain(self):
         base = hazard_total_surprise(HazardSpec(0.03, 4), P)
         for scheme in DualScheme:

@@ -1,12 +1,16 @@
-"""Hypothesis fuzz of ``cli.main`` over its declared flags and junk values.
+"""Hypothesis fuzz of ``cli.main`` over its declared flags and junk values,
+and over tree documents.
 
-Each case draws an ``eval``, ``sweep`` or ``figure`` argv from the flags
-the command line declares, with values that are valid, out of range or
-junk (``nan``, ``inf``, ``-0``, ``1e-320``, ``1e400``, empty, text).  Every
-run must exit 0, 1 or 2.  Past argparse's own usage errors, a failure
-writes exactly one ``error:`` or ``i/o error:`` line on stderr and no
-traceback, and a success writes nothing there.  n stays at most 64 and a
-grid at most 20 values, so no case builds a large tree.
+Each argv case draws an ``eval``, ``sweep`` or ``figure`` argv from the
+flags the command line declares, with values that are valid, out of range
+or junk (``nan``, ``inf``, ``-0``, ``1e-320``, ``1e400``, empty, text).
+Each document case writes a JSON document made of the tree format's keys
+and junk, nested up to 8 deep, and evaluates it as ``--scheme tree:<file>``
+under three scalings.  Every run must exit 0, 1 or 2.  Past argparse's own
+usage errors, a failure writes exactly one ``error:`` or ``i/o error:``
+line on stderr and no traceback, and a success writes nothing there.  n
+stays at most 64 and a grid at most 20 values, so no case builds a large
+tree.
 """
 
 from __future__ import annotations
@@ -89,6 +93,24 @@ def argvs(draw) -> list[str]:
     return argv
 
 
+def run_main(argv: list[str]) -> None:
+    """Run main on argv and check its exit code and its stderr."""
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        try:
+            code = main(argv)
+        except SystemExit as exc:  # argparse's own usage error
+            assert exc.code == 2, argv
+            return
+    assert code in (0, 1, 2), argv
+    if code == 0:
+        assert err.getvalue() == "", argv
+    else:
+        lines = err.getvalue().splitlines(keepends=True)
+        assert len(lines) == 1 and lines[0].endswith("\n"), (argv, lines)
+        assert lines[0].startswith("i/o error: " if code == 1 else "error: "), (argv, lines)
+
+
 def test_main_exits_0_1_or_2_with_one_error_line(tmp_path, monkeypatch):
     # a figure without --out writes <id>.csv in the working directory
     monkeypatch.chdir(tmp_path)
@@ -103,19 +125,51 @@ def test_main_exits_0_1_or_2_with_one_error_line(tmp_path, monkeypatch):
     @hypothesis.example(["figure", "figA2", "--out", "-", "--k2-prob=nan"])
     @hypothesis.example(["figure", "fig1", "--out", "no/such/dir/out.csv"])
     def check(argv):
-        out, err = io.StringIO(), io.StringIO()
-        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
-            try:
-                code = main(argv)
-            except SystemExit as exc:  # argparse's own usage error
-                assert exc.code == 2, argv
-                return
-        assert code in (0, 1, 2), argv
-        if code == 0:
-            assert err.getvalue() == "", argv
-        else:
-            lines = err.getvalue().splitlines(keepends=True)
-            assert len(lines) == 1 and lines[0].endswith("\n"), (argv, lines)
-            assert lines[0].startswith("i/o error: " if code == 1 else "error: "), (argv, lines)
+        run_main(argv)
+
+    check()
+
+
+#: Numbers of a tree document: floats (NaN and Infinity among them, which
+#: json.dumps writes as those literals), small integers and integers past
+#: the float range; probabilities are mostly ones that can sum to 1.
+NUMBERS = st.one_of(st.floats(), st.integers(-3, 3), st.sampled_from([10**400, -10**400]))
+PROBABILITIES = st.one_of(st.sampled_from([0.5, 0.5, 1.0, 0.25]), NUMBERS)
+SCALARS = st.one_of(NUMBERS, st.booleans(), st.none(), st.text(max_size=3))
+KEYS = ["payoff", "branches", "p", "node", "weight", "junk"]
+
+
+def nodes(depth: int = 8):
+    """JSON objects nested up to depth nodes deep: nodes of the tree format,
+    whose fields may hold junk, and objects over its keys and a junk key."""
+    inner = nodes(depth - 1) if depth > 1 else st.fixed_dictionaries({"payoff": NUMBERS})
+    values = st.one_of(inner, SCALARS, st.lists(st.one_of(inner, SCALARS), max_size=2))
+    branch = st.one_of(st.fixed_dictionaries({"p": PROBABILITIES, "node": inner}),
+                       st.fixed_dictionaries({"p": PROBABILITIES, "node": values}), values)
+    return st.one_of(
+        st.fixed_dictionaries({"payoff": NUMBERS}),
+        st.fixed_dictionaries({"branches": st.lists(branch, min_size=1, max_size=3)},
+                              optional={"weight": NUMBERS}),
+        st.dictionaries(st.sampled_from(KEYS), values, max_size=3),
+    )
+
+
+def nested(depth: int) -> str:
+    """A valid chain of depth binary levels as JSON text; 400 levels nest
+    past what the JSON parser reads."""
+    level = '{"branches": [{"p": 0.5, "node": {"payoff": 0.0}}, {"p": 0.5, "node": '
+    return level * depth + '{"payoff": 1.0}' + "}]}" * depth
+
+
+def test_tree_documents_exit_0_1_or_2_with_one_error_line(tmp_path):
+    path = tmp_path / "doc.json"
+
+    @hypothesis.settings(max_examples=300, derandomize=True, deadline=None, database=None)
+    @hypothesis.given(nodes().map(json.dumps))
+    @hypothesis.example(nested(400))
+    def check(text):
+        path.write_text(text)
+        for scaling in ("none", "full", "partial:0.5"):
+            run_main(["eval", "--scheme", f"tree:{path}", "--scaling", scaling])
 
     check()
