@@ -106,7 +106,6 @@ class SchemePoint:
     p_tr: float | None = _flag_field("timing: early-delivery probability")
     k_tr: float = _flag_field("timing: weight on the reveal stage", 1.0)
     p_pr: float | None = _flag_field("dual: success probability")
-    tree_path: str | None = None
 
 
 POINT_FIELDS = tuple(f.name for f in fields(SchemePoint) if "help" in f.metadata)
@@ -192,12 +191,12 @@ SCHEMES = {
 
 def reads(point: SchemePoint) -> tuple[str, ...]:
     """The point fields that point's scheme reads; a tree file reads none."""
-    return () if point.tree_path is not None else SCHEMES[point.scheme].fields
+    return () if point.scheme.startswith("tree:") else SCHEMES[point.scheme].fields
 
 
 def build_scheme_tree(point: SchemePoint) -> ResolutionNode:
-    if point.tree_path is not None:
-        return load_tree(point.tree_path)
+    if point.scheme.startswith("tree:"):
+        return load_tree(point.scheme.removeprefix("tree:"))
     for name in reads(point):
         if getattr(point, name) is None:
             raise ValidationError(f"scheme {point.scheme!r} requires {flag(name)}")
@@ -218,32 +217,30 @@ def evaluate_grid(
     """(point, evaluate_point(point, params, mode)) for fixed with its field
     target set to each value, in list order; a bad value raises when reached.
 
-    Where target is n, fixed's scheme nests in n and mode reads no payoff
-    range, the leading values that are valid n share one build and one
-    validation: those of the tree at the largest of them, N.  That tree is
-    a spine (see ``Scheme.nests_from``), and the tree at n is its node
-    N - n levels down the last branches, so a ``tree.Spine`` of it under
-    the grid's one params and scale gives each such row from flat lists,
-    computing each node's kernel jump once.  The shared build waits for
-    the first point, whose own build would raise the same errors: none
-    depends on n.
+    Where target is n, fixed's scheme nests in n, mode reads no payoff
+    range and every value is a valid n, the rows share one build and one
+    validation: those of the tree at the largest value, N.  That tree is a
+    spine (see ``Scheme.nests_from``), and the tree at n is its node N - n
+    levels down the last branches, so a ``tree.Spine`` of it under the
+    grid's one params and scale gives each row from flat lists, computing
+    each node's kernel jump once.  Otherwise every row is evaluated alone.
+    The shared build waits for the first point, whose own build would
+    raise the same errors: none depends on n.
     """
     first = SCHEMES[fixed.scheme].nests_from if target == "n" else None
-    shared = 0
-    if first is not None and not reads_payoff_range(mode):
-        while shared < len(values) and is_whole(values[shared]) and values[shared] >= first:
-            shared += 1
+    shared = (first is not None and not reads_payoff_range(mode)
+              and all(is_whole(value) and value >= first for value in values))
     attrs, spine = vars(fixed).copy(), None
-    for i, value in enumerate(values):
+    for value in values:
         if target == "n":
             value = whole(value, "n grid values must be whole numbers")
         attrs[target] = value
         point = SchemePoint(**attrs)
-        if i >= shared:
+        if not shared:
             yield point, evaluate_point(point, params, mode)
             continue
         if spine is None:
-            depth = int(max(values[:shared]))
+            depth = int(max(values))
             tree = build_scheme_tree(SchemePoint(**{**attrs, "n": depth}))
             # mode is a fixed map here: scaled_evaluation's transform
             spine = Spine(tree, validate(tree), params, mode.scale)
@@ -276,39 +273,33 @@ def _refuse_subnormal(point: SchemePoint, **columns: float) -> None:
     for column, value in columns.items():
         if 0.0 < abs(value) < sys.float_info.min:
             row = ", ".join(f"{name}={getattr(point, name)!r}" for name in reads(point))
-            raise ValidationError(f"{column} at {row or 'tree:' + point.tree_path} underflows "
+            raise ValidationError(f"{column} at {row or point.scheme} underflows "
                                   f"to the subnormal {value!r}")
 
 
-def timing_ratio_point(point: SchemePoint, params: ModelParams, u: float | None = None) -> float:
-    """Tree-based timing-lottery utility over the fixed-delay closed form.
-
-    A caller that has already evaluated the point unscaled may pass its
-    utility ``u``.
-    """
-    u = evaluate_point(point, params, AffineTransform())[2] if u is None else u
+def timing_ratio_point(point: SchemePoint, params: ModelParams, u: float) -> float:
+    """Tree-based timing-lottery utility u, point's unscaled utility, over
+    the fixed-delay closed form."""
     spec = TimingRiskSpec(point.p, point.n, point.p_tr, point.k_tr)
     return _ratio(u, discount_factor(HazardSpec(spec.p, mean_delay(spec)), params), point)
 
 
 def dual_ratio_point(point: SchemePoint, params: ModelParams, k2_prob: float,
-                     u: float | None = None, memo: dict | None = None) -> float:
-    """Tree-based discount ratio U_pt / (U_p * U_t).
+                     u: float, memo: dict) -> float:
+    """Tree-based discount ratio U_pt / (U_p * U_t), U_pt being u, point's
+    unscaled utility.
 
     U_t is the plain hazard chain at p and n, and U_p the unit gamble won
     with probability p_pr at the probability-only gain k2_prob.  memo, a
     dict that lives for one sweep or one figure (one params and k2_prob),
-    keeps each under (p, n) and p_pr once evaluated.  A caller that has
-    already evaluated the point unscaled may pass its utility ``u`` (U_pt).
+    keeps each under (p, n) and p_pr once evaluated.
     """
-    memo = {} if memo is None else memo
     if (point.p, point.n) not in memo:
         hazard = SchemePoint("hazard", p=point.p, n=point.n)
         memo[point.p, point.n] = evaluate_point(hazard, params, AffineTransform())[2]
     if point.p_pr not in memo:
         gamble = SchemePoint("gamble", hi=1.0, lo=0.0, p=point.p_pr)
         memo[point.p_pr] = evaluate_point(gamble, replace(params, k2=k2_prob), AffineTransform())[2]
-    u = evaluate_point(point, params, AffineTransform())[2] if u is None else u
     return _ratio(u, memo[point.p_pr] * memo[point.p, point.n], point)
 
 
@@ -543,20 +534,15 @@ def _params_from(args: argparse.Namespace) -> ModelParams:
 
 
 def _point_from(args: argparse.Namespace) -> SchemePoint:
-    scheme = args.scheme
-    tree_path = None
-    if scheme.startswith("tree:"):
-        tree_path = scheme.split(":", 1)[1]
-        if not tree_path:
-            raise ValidationError("tree scheme needs a path: tree:<path>")
-        scheme = "tree"
-    elif scheme not in SCHEMES:
+    if args.scheme == "tree:":
+        raise ValidationError("tree scheme needs a path: tree:<path>")
+    if not args.scheme.startswith("tree:") and args.scheme not in SCHEMES:
         raise ValidationError(
             f"unknown scheme {args.scheme!r}; expected one of "
             f"{', '.join(SCHEMES)} or tree:<path>"
         )
     given = {name: value for name in POINT_FIELDS if (value := getattr(args, name)) is not None}
-    point = SchemePoint(scheme, tree_path=tree_path, **given)
+    point = SchemePoint(args.scheme, **given)
     unread = [flag(name) for name in given if name not in reads(point)]
     if unread:
         raise ValidationError(f"scheme {args.scheme!r} does not read {', '.join(unread)}")

@@ -32,7 +32,7 @@ class HazardSpec:
         if not (math.isfinite(self.p) and 0.0 < self.p < 1.0):
             raise ValidationError(f"p must lie in (0, 1), got {self.p!r}")
         if not (math.isfinite(self.n) and self.n >= 0.0):
-            raise ValidationError(f"n must be >= 0, got {self.n!r}")
+            raise ValidationError(f"n must be finite and >= 0, got {self.n!r}")
 
 
 @dataclass(frozen=True)
@@ -55,7 +55,7 @@ class TimingRiskSpec:
         if not (math.isfinite(self.p_tr) and 0.0 < self.p_tr < 1.0):
             raise ValidationError(f"p_tr must lie in (0, 1), got {self.p_tr!r}")
         if not (math.isfinite(self.k_tr) and self.k_tr >= 0.0):
-            raise ValidationError(f"k_tr must be >= 0, got {self.k_tr!r}")
+            raise ValidationError(f"k_tr must be finite and >= 0, got {self.k_tr!r}")
 
 
 class DualScheme(Enum):
@@ -87,7 +87,7 @@ class DualRiskSpec:
         if not (math.isfinite(self.p_pr) and 0.0 < self.p_pr < 1.0):
             raise ValidationError(f"p_pr must lie in (0, 1), got {self.p_pr!r}")
         if not (math.isfinite(self.k2_prob) and self.k2_prob >= 0.0):
-            raise ValidationError(f"k2_prob must be >= 0, got {self.k2_prob!r}")
+            raise ValidationError(f"k2_prob must be finite and >= 0, got {self.k2_prob!r}")
         if self.scheme is DualScheme.INCORPORATED:
             if not 0.0 < self.inflated_hazard() < 1.0:
                 raise ValidationError(

@@ -11,8 +11,16 @@ from __future__ import annotations
 import random
 
 from anticipated_surprise import Branch, Internal, ModelParams, Terminal, surprise_kernel
+from anticipated_surprise.cli import SchemePoint
 # left to right, so that a seed gives the same trees on every interpreter
 from anticipated_surprise.tree import _sum
+
+#: A point of each scheme whose trees nest in n, all but n fixed.
+NESTING = {
+    "hazard": SchemePoint("hazard", p=0.03),
+    "timing": SchemePoint("timing", p=0.05, p_tr=0.3, k_tr=4.0),
+    "dual-a-after": SchemePoint("dual-a-after", p=0.03, p_pr=0.6),
+}
 
 
 def _paths(node, prob=1.0, trail=()):

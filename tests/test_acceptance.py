@@ -293,9 +293,9 @@ def test_criterion_12_cli_determinism(tmp_path, capsys):
         p_pr = xs[i]
         cells = csv_lines[i].split(",")
         # recombine the ratio from the same per-point evaluations eval uses
-        d = dual_ratio_point(
-            SchemePoint("dual-a-after", p=P_HAZARD, n=4, p_pr=p_pr), FIG3, 2.0
-        )
+        point = SchemePoint("dual-a-after", p=P_HAZARD, n=4, p_pr=p_pr)
+        _, _, u_pt = evaluate_point(point, FIG3, NoScaling())
+        d = dual_ratio_point(point, FIG3, 2.0, u_pt, {})
         if cells[1] != fmt(d):
             consistent = False
         # and check the dual-option utility straight off the eval command
@@ -306,9 +306,6 @@ def test_criterion_12_cli_determinism(tmp_path, capsys):
         out = capsys.readouterr().out
         assert code == 0
         u_from_eval = out.strip().split("\n")[1].split(",")[-1]
-        _, _, u_pt = evaluate_point(
-            SchemePoint("dual-a-after", p=P_HAZARD, n=4, p_pr=p_pr), FIG3, NoScaling()
-        )
         if u_from_eval != fmt(u_pt):
             consistent = False
     report(

@@ -16,7 +16,6 @@ from anticipated_surprise.cli import (
     SchemePoint,
     _params_from,
     build_parser,
-    dual_ratio_point,
     evaluate_grid,
     evaluate_point,
     figure_rows,
@@ -25,9 +24,9 @@ from anticipated_surprise.cli import (
     grid_points,
     main,
     sweep_rows,
-    timing_ratio_point,
 )
 from anticipated_surprise.scaling import NoScaling, parse_scaling_mode
+from conftest import NESTING
 
 
 def run(capsys, argv):
@@ -184,6 +183,11 @@ class TestEval:
     def test_bad_probability_is_validation_failure(self, capsys):
         code, _, err = run(capsys, ["eval", "--scheme", "hazard", "--p", "1.5", "--n", "4"])
         assert code == 2 and err.startswith("error:")
+
+    def test_non_finite_k_tr_says_finite(self, capsys):
+        code, out, err = run(capsys, ["eval", "--scheme", "timing", "--p", "0.03", "--n", "4",
+                                      "--p-tr", "0.5", "--k-tr", "nan"])
+        assert (code, out, err) == (2, "", "error: k_tr must be finite and >= 0, got nan\n")
 
     def test_unknown_scheme(self, capsys):
         code, _, err = run(capsys, ["eval", "--scheme", "lottery"])
@@ -433,6 +437,14 @@ class TestSweep:
              "--grid", "0.1:0.9:5"],
         )
         assert code == 2 and "does not apply" in err
+
+    def test_tree_file_sweep_names_its_scheme(self, capsys, tmp_path):
+        path = tmp_path / "f.json"
+        path.write_text(json.dumps({"payoff": 0.7}))
+        code, out, err = run(capsys, ["sweep", "--scheme", f"tree:{path}", "--target", "n",
+                                      "--values", "1,2"])
+        assert (code, out) == (2, "")
+        assert err == f"error: target 'n' does not apply to scheme 'tree:{path}'\n"
 
     def test_grid_and_values_conflict(self, capsys):
         code, _, err = run(
@@ -783,24 +795,6 @@ FIGURE_WORK = [
 
 
 class TestHelpers:
-    def test_timing_ratio_point_matches_library(self):
-        from anticipated_surprise import TimingRiskSpec, timing_ratio
-
-        params = ModelParams(k2=10.0)
-        point = SchemePoint("timing", p=0.03, n=4, p_tr=0.5, k_tr=10.0)
-        got = timing_ratio_point(point, params)
-        want = timing_ratio(TimingRiskSpec(0.03, 4, 0.5, 10.0), params)
-        assert got == pytest.approx(want, abs=1e-9)
-
-    def test_dual_ratio_point_matches_library(self):
-        from anticipated_surprise import DualRiskSpec, DualScheme, discount_ratio
-
-        params = ModelParams(k2=10.0)
-        point = SchemePoint("dual-a-after", p=0.03, n=4, p_pr=0.7)
-        got = dual_ratio_point(point, params, 2.0)
-        want = discount_ratio(DualRiskSpec(0.03, 4, 0.7, DualScheme.SEPARATE_AFTER, 2.0), params)
-        assert got == pytest.approx(want, abs=1e-9)
-
     @pytest.mark.parametrize(
         "point",
         [
@@ -879,14 +873,6 @@ class TestHelpers:
         assert u0 == 0.0
 
 
-#: A point of each scheme whose trees nest in n, all but n fixed.
-NESTING = {
-    "hazard": SchemePoint("hazard", p=0.03),
-    "timing": SchemePoint("timing", p=0.05, p_tr=0.3, k_tr=4.0),
-    "dual-a-after": SchemePoint("dual-a-after", p=0.03, p_pr=0.6),
-}
-
-
 class TestNGrid:
     @pytest.mark.parametrize("mode", ["none", "scale:2", "full", "partial:0.5"])
     @pytest.mark.parametrize("scheme", NESTING)
@@ -898,11 +884,11 @@ class TestNGrid:
         points = [replace(fixed, n=n) for n in ns]
         grid = evaluate_grid(fixed, "n", [float(n) for n in ns], params, scaling)
         assert list(grid) == [(pt, evaluate_point(pt, params, scaling)) for pt in points]
-        ratio = (timing_ratio_point if scheme == "timing"
-                 else lambda pt, params: dual_ratio_point(pt, params, 2.0))
+        ratio, memo = SCHEMES[scheme].ratio, {}
         _, rows = sweep_rows("n", [float(n) for n in ns], fixed, params, scaling, 2.0)
         assert rows == [[n, *evaluate_point(pt, params, scaling),
-                         *([] if scheme == "hazard" else [ratio(pt, params)])]
+                         *([] if ratio is None else [ratio(
+                             pt, params, 2.0, evaluate_point(pt, params, NoScaling())[2], memo)])]
                         for n, pt in zip(ns, points)]
 
     @pytest.mark.parametrize("mode", ["none", "scale:2"])

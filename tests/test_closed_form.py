@@ -338,11 +338,27 @@ class TestSpecValidation:
             DualRiskSpec(0.03, 4, 1.0)
         with pytest.raises(ValidationError, match="p must lie in"):
             DualRiskSpec(0.0, 4, 0.5)
-        with pytest.raises(ValidationError, match="k2_prob must be >= 0"):
+        with pytest.raises(ValidationError, match="k2_prob must be finite and >= 0"):
             DualRiskSpec(0.03, 4, 0.5, k2_prob=-1.0)
         # p_pr**(1/n) and 1 - p both round to 1.0, so the hazard is 0.0
         with pytest.raises(ValidationError, match="inflated hazard 0.0"):
             DualRiskSpec(1e-17, 10**6, 0.9999999999999999, DualScheme.INCORPORATED)
+
+    @pytest.mark.parametrize(
+        "call,message",
+        [
+            (lambda: HazardSpec(0.03, math.inf), "n must be finite and >= 0, got inf"),
+            (lambda: TimingRiskSpec(0.03, 4, 0.5, math.nan),
+             "k_tr must be finite and >= 0, got nan"),
+            (lambda: DualRiskSpec(0.03, 4, 0.5, k2_prob=math.inf),
+             "k2_prob must be finite and >= 0, got inf"),
+        ],
+        ids=["hazard-n", "timing-k_tr", "dual-k2_prob"],
+    )
+    def test_non_finite_value_says_finite(self, call, message):
+        with pytest.raises(ValidationError) as exc:
+            call()
+        assert str(exc.value) == message
 
     @pytest.mark.parametrize("value", [math.inf, -math.inf, math.nan])
     @pytest.mark.parametrize(
