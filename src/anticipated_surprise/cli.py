@@ -243,7 +243,7 @@ def evaluate_grid(
             depth = int(max(values))
             tree = build_scheme_tree(SchemePoint(**{**attrs, "n": depth}))
             # mode is a fixed map here: scaled_evaluation's transform
-            spine = Spine(tree, validate(tree), params, mode.scale)
+            spine = Spine(validate(tree), params, mode.scale)
         yield point, _spine_point(spine, depth - value, mode)
 
 
@@ -251,7 +251,7 @@ def _spine_point(spine: Spine, i: int, transform: AffineTransform) -> tuple[floa
     """evaluate_point's triple for the tree at path node i of spine, whose
     scale is transform's.  Its stage surprises die here, not at the next row."""
     scaled = spine.result(i, transform.offset)
-    return spine.expected_value(i), scaled.total_surprise, transform.invert_utility(scaled.utility)
+    return spine.values[i], scaled.total_surprise, transform.invert_utility(scaled.utility)
 
 
 def _ratio(utility: float, reference: float, point: SchemePoint) -> float:

@@ -69,8 +69,17 @@ class ValidationReport:
     evaluation.  The walk also yields what evaluation needs: the payoff
     range, the root's expected value and, in ``conditional_values``, the
     conditional expected value of every internal node keyed by ``id()``
-    (valid while the tree it was computed from is alive).  A ``Spine``
-    evaluates every node down the last branches from it.
+    (valid while the tree it was computed from is alive).
+
+    If the tree is spine-shaped, its internal nodes all on the path of last
+    branches (each other branch ends in a terminal), ``spine`` holds that
+    path as five lists: its internal nodes, root first; each one's total,
+    its branch probabilities summed from 0.0 in branch order; its survival,
+    the last branch's probability over that total; its surprise weight;
+    and the conditional expected value of each node, the bottom terminal's
+    payoff last (one entry more).  ``_result`` and a ``Spine`` evaluate the
+    tree from them in one float loop.  For any other tree it is None, and
+    evaluation walks the tree level by level.
     """
 
     node_count: int = 0
@@ -82,6 +91,8 @@ class ValidationReport:
     conditional_values: dict[int, float] = field(
         default_factory=dict, repr=False, compare=False
     )
+    spine: tuple[list[Internal], list[float], list[float], list[float], list[float]] | None = (
+        field(default=None, repr=False, compare=False))
 
 
 @dataclass(frozen=True)
@@ -108,7 +119,101 @@ def validate(node: ResolutionNode) -> ValidationReport:
     One explicit-stack post-order walk, so any depth works.  A node's
     value is sum(p * child value) / sum(p) over its branches in order.
     Raises ValidationError naming the path of the offending node.
+
+    A spine-shaped tree takes a flat lane instead: one loop down the last
+    branches and one back up give the walk's report, float for float, and
+    its path (``ValidationReport.spine``).  At its first fault, or at a
+    non-last branch that does not end in a terminal, the lane gives up and
+    the walk runs from the root, so every error is the walk's.
     """
+    report = _spine_lane(node)
+    return _walk(node) if report is None else report
+
+
+def _spine_lane(node: ResolutionNode) -> ValidationReport | None:
+    """validate's report of a valid spine-shaped tree, with its path;
+    None for any other tree.
+
+    One loop down the last branches makes the walk's checks of each node
+    on the path and its terminals, and sums each node's terminal branches;
+    one loop back up finishes each node's value with its last branch.  The
+    products and sums are the walk's, in its order.  The walk visits the
+    terminals in the reverse of the order met going down, so the payoff
+    range takes the last of equal payoffs met here (``<=``, ``>=``) where
+    the walk keeps the first (``<``, ``>``), and a zero keeps the walk's
+    sign.  Any type but exactly Terminal or Internal goes to the walk.
+    """
+    nodes: list[Internal] = []
+    totals: list[float] = []
+    survivals: list[float] = []
+    weights: list[float] = []
+    sums: list[float] = []  # over each node's terminal branches
+    renormalized: list[int] = []  # depths of the nodes whose sum is not 1.0
+    count = 1  # the bottom terminal; each node adds itself and its other branches
+    lo, hi = inf, -inf
+    nd = node
+    while type(nd) is Internal:
+        branches = nd.branches
+        weight = nd.surprise_weight
+        if not branches or not isfinite(weight) or weight < 0.0:
+            return None
+        total = num = 0.0
+        inner = 0  # branches whose child is not a terminal
+        for br in branches:
+            p = br.probability
+            if not 0.0 < p <= 1.0:  # also rejects nan and inf
+                return None
+            total += p
+            child = br.child
+            if type(child) is Terminal:
+                payoff = child.payoff
+                if not isfinite(payoff):
+                    return None
+                if payoff <= lo:
+                    lo = payoff
+                if payoff >= hi:
+                    hi = payoff
+                num += p * payoff
+            else:
+                inner += 1
+        last = branches[-1]
+        if type(last.child) is not Terminal:
+            inner -= 1  # the one branch that may lead on
+        if inner or abs(total - 1.0) > PROBABILITY_SUM_TOL:
+            return None
+        if total != 1.0:
+            renormalized.append(len(nodes))
+        count += len(branches)
+        nodes.append(nd)
+        totals.append(total)
+        survivals.append(last.probability / total)
+        weights.append(weight)
+        sums.append(num)
+        nd = last.child
+    if type(nd) is not Terminal:
+        return None
+    value = nd.payoff
+    table: dict[int, float] = {}
+    values = [value] * (len(nodes) + 1)
+    if not nodes:  # a bare payoff
+        if not isfinite(value):
+            return None
+        lo = hi = value
+    else:
+        # the bottom node's sum already holds its last branch, a terminal
+        value = values[-2] = table[id(nodes[-1])] = sums[-1] / totals[-1]
+        for k in range(len(nodes) - 2, -1, -1):
+            nd = nodes[k]
+            value = (sums[k] + nd.branches[-1].probability * value) / totals[k]
+            values[k] = table[id(nd)] = value
+    paths = ["root" + "".join(f".branches[{len(nodes[j].branches) - 1}]" for j in range(k))
+             for k in renormalized] if renormalized else []
+    return ValidationReport(count, len(nodes), paths, lo, hi, value, table,
+                            (nodes, totals, survivals, weights, values))
+
+
+def _walk(node: ResolutionNode) -> ValidationReport:
+    """validate's explicit-stack post-order walk, for any tree."""
     report = ValidationReport()
     values = report.conditional_values
     count = max_depth = 0
@@ -207,7 +312,7 @@ def _stage_surprises(
             if isinstance(nd, Terminal):
                 continue
             saw_internal = True
-            # _total's loop, written out: a call per node costs more than the sum
+            # the node's total: its branch probabilities summed from 0.0 in order
             total = 0.0
             for br in nd.branches:
                 total += br.probability
@@ -220,20 +325,13 @@ def _stage_surprises(
     return out
 
 
-def _total(node: Internal) -> float:
-    """The sum from 0.0 of node's branch probabilities, in branch order."""
-    total = 0.0
-    for br in node.branches:
-        total += br.probability
-    return total
-
-
 def _jump(node: Internal, total: float, values: dict[int, float], params: ModelParams,
           scale: float) -> float:
     """node's kernel jump: over its branches in order, the sum from 0.0 of
     q * surprise_kernel((child value - node value) / scale), q being the
-    branch's probability over ``total``, node's ``_total``.  It depends
-    only on the node, the params and the scale."""
+    branch's probability over ``total``, the sum from 0.0 of node's branch
+    probabilities in branch order.  It depends only on the node, the
+    params and the scale."""
     e_here = values[id(node)]
     jump = 0.0
     for br in node.branches:
@@ -258,8 +356,18 @@ def _result(
     """Evaluation of the tree node from its own report, with every payoff
     x read as (x - offset) / scale.  Conditional values map the same way,
     so the offset cancels in each jump and the jumps are divided by scale;
-    the identity (1, 0) leaves every float as it is."""
-    surprises = _stage_surprises(node, report.conditional_values, params, scale)
+    the identity (1, 0) leaves every float as it is.  A spine-shaped tree
+    is evaluated down its path in ``Spine.result``'s float loop, any other
+    level by level: the same floats in the same order."""
+    table = report.conditional_values
+    if report.spine is None:
+        surprises = _stage_surprises(node, table, params, scale)
+    else:
+        nodes, totals, survivals, weights, _ = report.spine
+        surprises, reach = [], 1.0
+        for k, nd in enumerate(nodes):
+            surprises.append(0.0 + reach * weights[k] * _jump(nd, totals[k], table, params, scale))
+            reach *= survivals[k]
     return _finished(surprises, (report.expected_value - offset) / scale, params)
 
 
@@ -272,35 +380,22 @@ def _finished(surprises: list[float], u0: float, params: ModelParams) -> Evaluat
 
 
 class Spine:
-    """A validated tree whose internal nodes all lie on the path of last
-    branches (each other branch ends in a terminal), flattened to evaluate
-    the subtree at any node of that path under one params and one scale.
+    """A validated spine-shaped tree (see ``ValidationReport.spine``),
+    evaluated at any node of its path of last branches under one params
+    and one scale.
 
     Path node i + k is then the one internal node on level k of the
     subtree at path node i, so that subtree's stage surprises are, for
     j = i, i+1, ..., ``0.0 + (reach * weights[j]) * jumps[j]``, reach
-    starting at 1.0 and multiplied by ``survivals[j]`` (the last branch's
-    probability over the node's ``_total``) after each level: the floats
-    of the level walk, in its order.  Each jump is computed once, top-down
-    as the rows first reach it, so a kernel error is the one that the row,
-    evaluated alone, meets.
+    starting at 1.0 and multiplied by ``survivals[j]`` after each level:
+    the floats of the level walk, in its order.  Each jump is computed
+    once, top-down as the rows first reach it, so a kernel error is the
+    one that the row, evaluated alone, meets.
     """
 
-    def __init__(self, root: ResolutionNode, report: ValidationReport, params: ModelParams,
-                 scale: float) -> None:
-        self.values, self.params, self.scale = report.conditional_values, params, scale
-        #: The internal nodes down the last branches, root first, with
-        #: their surprise weights and survivals.
-        self.nodes: list[Internal] = []
-        self.weights: list[float] = []
-        self.survivals: list[float] = []
-        nd = root
-        while isinstance(nd, Internal):
-            last = nd.branches[-1]
-            self.nodes.append(nd)
-            self.weights.append(nd.surprise_weight)
-            self.survivals.append(last.probability / _total(nd))
-            nd = last.child
+    def __init__(self, report: ValidationReport, params: ModelParams, scale: float) -> None:
+        self.nodes, self.totals, self.survivals, self.weights, self.values = report.spine
+        self.table, self.params, self.scale = report.conditional_values, params, scale
         self.jumps = [0.0] * len(self.nodes)
         self._computed = len(self.nodes)  # jumps[_computed:] hold their values
 
@@ -310,18 +405,13 @@ class Spine:
         jumps, weights, survivals = self.jumps, self.weights, self.survivals
         if i < self._computed:
             for k in range(i, self._computed):
-                nd = self.nodes[k]
-                jumps[k] = _jump(nd, _total(nd), self.values, self.params, self.scale)
+                jumps[k] = _jump(self.nodes[k], self.totals[k], self.table, self.params, self.scale)
             self._computed = i
         surprises, reach = [], 1.0
         for k in range(i, len(jumps)):
             surprises.append(0.0 + reach * weights[k] * jumps[k])
             reach *= survivals[k]
-        return _finished(surprises, (self.expected_value(i) - offset) / self.scale, self.params)
-
-    def expected_value(self, i: int) -> float:
-        """The raw conditional expected value of path node i."""
-        return self.values[id(self.nodes[i])]
+        return _finished(surprises, (self.values[i] - offset) / self.scale, self.params)
 
 
 def _sum(values: Iterable[float]) -> float:

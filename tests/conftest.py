@@ -12,8 +12,8 @@ import random
 
 from anticipated_surprise import Branch, Internal, ModelParams, Terminal, surprise_kernel
 from anticipated_surprise.cli import SchemePoint
-# left to right, so that a seed gives the same trees on every interpreter
-from anticipated_surprise.tree import _sum
+# _sum: left to right, so that a seed gives the same trees on every interpreter
+from anticipated_surprise.tree import _finished, _stage_surprises, _sum
 
 #: A point of each scheme whose trees nest in n, all but n fixed.
 NESTING = {
@@ -21,6 +21,20 @@ NESTING = {
     "timing": SchemePoint("timing", p=0.05, p_tr=0.3, k_tr=4.0),
     "dual-a-after": SchemePoint("dual-a-after", p=0.03, p_pr=0.6),
 }
+
+
+def level_walk_result(node, report, params: ModelParams, scale: float = 1.0,
+                      offset: float = 0.0):
+    """``tree._result`` by the level walk, whatever the tree's shape: the
+    reference that the flat loop over a spine's path must match bit for bit."""
+    surprises = _stage_surprises(node, report.conditional_values, params, scale)
+    return _finished(surprises, (report.expected_value - offset) / scale, params)
+
+
+def result_bits(result) -> list[str]:
+    """An EvaluationResult's floats as hex, stage surprises last."""
+    return [float.hex(x) for x in (result.expected_value, result.total_surprise,
+                                   result.utility, *result.stage_surprises)]
 
 
 def _paths(node, prob=1.0, trail=()):

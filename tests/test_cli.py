@@ -3,6 +3,7 @@ import json
 import math
 import random
 from dataclasses import replace
+from pathlib import Path
 
 import pytest
 
@@ -765,6 +766,22 @@ def test_exhausted_memory_exits_2_with_one_line():
     assert "closed forms" in proc.stderr
 
 
+def count_kernel(monkeypatch) -> list:
+    """The list each call of the kernel from now on appends its z to; the
+    kernel is rebound in the tree module, as a tracer does."""
+    from anticipated_surprise import tree
+
+    calls = []
+    kernel = tree.surprise_kernel
+
+    def counting(z, params):
+        calls.append(z)
+        return kernel(z, params)
+
+    monkeypatch.setattr(tree, "surprise_kernel", counting)
+    return calls
+
+
 def count_walks(monkeypatch) -> list:
     """The list each validation walk from now on appends its tree to."""
     from anticipated_surprise import cli, scaling, tree
@@ -854,16 +871,7 @@ class TestHelpers:
     @pytest.mark.parametrize("fig_id,walks,kernels", FIGURE_WORK,
                              ids=[f"{fig_id}-{walks}" for fig_id, walks, _ in FIGURE_WORK])
     def test_figure_walks_each_tree_once_per_grid(self, monkeypatch, fig_id, walks, kernels):
-        from anticipated_surprise import tree
-
-        calls, kernel_calls = count_walks(monkeypatch), []
-        kernel = tree.surprise_kernel
-
-        def counting(z, params):
-            kernel_calls.append(z)
-            return kernel(z, params)
-
-        monkeypatch.setattr(tree, "surprise_kernel", counting)
+        calls, kernel_calls = count_walks(monkeypatch), count_kernel(monkeypatch)
         figure_rows(fig_id)
         assert (len(calls), len(kernel_calls)) == (walks, kernels)
 
@@ -895,21 +903,35 @@ class TestNGrid:
     def test_n_sweep_computes_each_nodes_jump_once(self, monkeypatch, mode):
         # each of the 400 levels has two branches: 2 * max n kernel calls
         # where a walk from every sub-root would make 2 * sum(n)
-        from anticipated_surprise import tree
-
-        calls = []
-        kernel = tree.surprise_kernel
-
-        def counting(z, params):
-            calls.append(z)
-            return kernel(z, params)
-
-        monkeypatch.setattr(tree, "surprise_kernel", counting)
+        calls = count_kernel(monkeypatch)
         values = [float(n) for n in random.Random(16).sample(range(1, 400), 15)] + [400.0]
         random.Random(17).shuffle(values)
         _, rows = sweep_rows("n", values, NESTING["hazard"], ModelParams(k2=10.0),
                              parse_scaling_mode(mode), 2.0)
         assert len(rows) == 16 and len(calls) == 2 * 400 < 2 * sum(values)
+
+    @pytest.mark.parametrize("mode", ["none", "full"])
+    @pytest.mark.parametrize("n", [1, 2, 57, 400])
+    def test_one_shot_hazard_row_makes_two_kernel_calls_a_level(self, monkeypatch, n, mode):
+        calls = count_kernel(monkeypatch)
+        evaluate_point(replace(NESTING["hazard"], n=n), ModelParams(k2=10.0),
+                       parse_scaling_mode(mode))
+        assert len(calls) == 2 * n
+
+    @pytest.mark.parametrize("workload,kernels", [("DeepSweep", 16_078), ("Figures", 8_004)])
+    def test_a_benchmark_pass_makes_as_many_kernel_calls_as_before(self, monkeypatch, workload,
+                                                                   kernels):
+        """One seed-7 pass of a benchmark workload, whose outputs pass its
+        checks, calls the kernel as often as the level walk did: a faster
+        pass skips and repeats no jump."""
+        monkeypatch.syspath_prepend(str(Path(__file__).resolve().parent.parent / "bench"))
+        import workloads
+
+        w = getattr(workloads, workload)(7)
+        calls = count_kernel(monkeypatch)
+        results = [workloads.execute(op) for op in w.ops]
+        assert len(calls) == kernels
+        assert [w.check(op, result) for op, result in zip(w.ops, results)] == [None] * len(w.ops)
 
     def test_points_before_a_bad_value_are_yielded_first(self):
         grid = evaluate_grid(NESTING["hazard"], "n", [3.0, 5.0, 0.0, 4.0], ModelParams(), NoScaling())

@@ -6,7 +6,9 @@ at points drawn from a domain the current closed forms hold on: p down
 to 1e-8 and alpha - 1 down to 1e-3 (the geometric chain sum loses
 digits below those).  Every ratio column a sweep prints must match its
 closed-form ratio on the same domain, and an n-sweep must be its rows
-evaluated one by one, bits and first error alike.  Draws are
+evaluated one by one, bits and first error alike.  On spine-shaped trees
+with injected faults, ``validate``'s flat lane must give the stack walk's
+report or error, and ``_result`` the level walk's bits.  Draws are
 derandomized, so a run is repeatable.
 """
 
@@ -17,12 +19,13 @@ from dataclasses import replace
 
 import pytest
 
-from anticipated_surprise import (DualRiskSpec, DualScheme, ModelParams, Modulation, NoScaling,
-                                  TimingRiskSpec, ValidationError, discount_ratio, evaluate,
-                                  timing_ratio)
+from anticipated_surprise import (Branch, DualRiskSpec, DualScheme, Internal, ModelParams,
+                                  Modulation, NoScaling, Terminal, TimingRiskSpec, ValidationError,
+                                  discount_ratio, evaluate, timing_ratio, validate)
 from anticipated_surprise.cli import SCHEMES, SchemePoint, evaluate_point, sweep_rows, whole
 from anticipated_surprise.scaling import parse_scaling_mode
-from conftest import NESTING
+from anticipated_surprise.tree import _result, _sum, _walk
+from conftest import NESTING, level_walk_result, result_bits
 
 hypothesis = pytest.importorskip("hypothesis")
 st = hypothesis.strategies
@@ -143,3 +146,104 @@ def test_n_sweep_is_its_rows_one_by_one(name, mode):
         assert got == want, values
 
     check()
+
+
+# --- the spine lane of tree.validate ---------------------------------------
+
+#: Payoffs of both zero signs and of both signs.
+PAYOFFS = st.one_of(st.sampled_from([0.0, -0.0]), st.floats(-5.0, 5.0))
+#: The faults a tree may carry; "bushy" puts a gamble in a non-last branch.
+FAULTS = ("bushy", "probability", "weight", "payoff", "empty", "not-a-node", "sum")
+
+
+@st.composite
+def spine_trees(draw):
+    """(tree, faults): a spine-shaped tree of depth 0 to 40 with 1 to 4
+    branches a node, probability sums within 1e-12 of 1, and the faults of
+    0 to 2 drawn from FAULTS that it carries, injected at drawn places down
+    to the bottom node."""
+    levels = []  # root first: [weight, [[p, child] ...]], the last child leading down
+    for _ in range(draw(st.integers(0, 40))):
+        raw = draw(st.lists(st.floats(0.05, 1.0), min_size=1, max_size=4))
+        probs = [x / _sum(raw) for x in raw]
+        # off from 1 by at most 5e-13, staying inside (0, 1]
+        probs[-1] = min(1.0, 1.0 - _sum(probs[:-1]) + draw(st.floats(-5e-13, 5e-13)))
+        weight = draw(st.one_of(st.sampled_from([1.0, 0.0]), st.floats(0.0, 5.0)))
+        levels.append([weight, [[p, Terminal(draw(PAYOFFS))] for p in probs]])
+    bottom = Terminal(draw(PAYOFFS))
+    faults = []
+    for fault in [draw(st.sampled_from(FAULTS)) for _ in range(draw(st.integers(0, 2)))]:
+        if fault == "payoff":
+            bottom = Terminal(draw(st.sampled_from([math.inf, -math.inf, math.nan])))
+            faults.append(fault)
+        level = levels[draw(st.integers(0, len(levels) - 1))] if levels else [0.0, []]
+        if fault == "payoff" or not level[1] or fault == "bushy" and len(level[1]) == 1:
+            continue  # no branch to put it on
+        faults.append(fault)
+        branch = level[1][draw(st.integers(0, len(level[1]) - 1))]
+        if fault == "probability":
+            branch[0] = draw(st.sampled_from([0.0, -0.25, 1.5, math.nan, math.inf]))
+        elif fault == "weight":
+            level[0] = draw(st.sampled_from([math.nan, -1.0, -1e-300]))
+        elif fault == "empty":
+            level[1] = []
+        elif fault == "not-a-node":
+            branch[1] = draw(st.sampled_from([None, 1.0, "payoff", Branch(1.0, Terminal(0.0))]))
+        elif fault == "sum":
+            branch[0] = branch[0] * (1.0 - 1e-9) if branch[0] > 0.5 else branch[0] + 1e-9
+        else:  # bushy: a gamble in a non-last branch
+            level[1][draw(st.integers(0, len(level[1]) - 2))][1] = Internal(
+                (Branch(0.5, Terminal(draw(PAYOFFS))), Branch(0.5, Terminal(draw(PAYOFFS)))))
+    node = bottom
+    for weight, branches in reversed(levels):
+        built = [Branch(p, child) for p, child in branches]
+        if built and isinstance(built[-1].child, Terminal):  # else a fault put a non-node there
+            built[-1] = Branch(built[-1].probability, node)
+        node = Internal(tuple(built), weight)
+    return node, faults
+
+
+def report_fields(report) -> tuple:
+    """Every field of a ValidationReport, floats as hex (a zero's sign too)."""
+    return (report.node_count, report.max_depth, report.renormalized,
+            float.hex(report.payoff_min), float.hex(report.payoff_max),
+            float.hex(report.expected_value),
+            {key: float.hex(value) for key, value in report.conditional_values.items()})
+
+
+def outcome(validate_fn, node):
+    """validate_fn's report fields, or the message of its ValidationError."""
+    try:
+        return report_fields(validate_fn(node))
+    except ValidationError as exc:
+        return f"ValidationError: {exc}"
+
+
+@hypothesis.settings(max_examples=400, derandomize=True, database=None, deadline=None)
+@hypothesis.given(spine_trees(), st.sampled_from([(1.0, 0.0), (0.37, 0.25), (3.0, -1.0)]))
+def test_spine_lane_gives_the_walks_report_or_error(case, transform):
+    """validate gives the explicit-stack walk's report, field for field, or
+    raises its message; on a valid spine its path is the tree's path of last
+    branches, and _result gives the level walk's bits from it."""
+    tree, faults = case
+    want = outcome(_walk, tree)
+    assert outcome(validate, tree) == want, faults
+    if isinstance(want, str):
+        return
+    report = validate(tree)
+    assert (report.spine is None) == ("bushy" in faults)
+    if report.spine is None:
+        return
+    nodes, totals, survivals, weights, values = report.spine
+    path, nd = [], tree
+    while isinstance(nd, Internal):
+        path.append(nd)
+        nd = nd.branches[-1].child
+    assert [id(x) for x in nodes] == [id(x) for x in path]
+    assert values == [report.conditional_values[id(x)] for x in path] + [nd.payoff]
+    assert weights == [x.surprise_weight for x in path]
+    assert survivals == [x.branches[-1].probability / t for x, t in zip(path, totals)]
+    params, (scale, offset) = ModelParams(k2=10.0), transform
+    got = _result(tree, report, params, scale, offset)
+    assert result_bits(got) == result_bits(level_walk_result(tree, _walk(tree), params, scale,
+                                                             offset))

@@ -20,9 +20,9 @@ from anticipated_surprise import (
     tree_to_dict,
     validate,
 )
-from anticipated_surprise.scaling import NoScaling, scaled_evaluation
-from anticipated_surprise.tree import Spine, _result
-from conftest import random_tree, trajectory_stage_surprises
+from anticipated_surprise.scaling import NoScaling, parse_scaling_mode, scaled_evaluation
+from anticipated_surprise.tree import Spine, _walk
+from conftest import level_walk_result, random_tree, result_bits, trajectory_stage_surprises
 
 P = ModelParams()
 
@@ -274,14 +274,10 @@ class TestMartingaleAndDecomposition:
     @pytest.mark.parametrize("params,scale,offset",
                              [(P, 1.0, 0.0), (ModelParams(k=5.0, alpha=2.2), 0.37, 0.25)])
     def test_spine_gives_a_fresh_reports_bits(self, params, scale, offset):
-        """The spine of each nesting scheme's tree, evaluated at every node
-        of its path in shuffled order (so rows read jumps computed for
-        others), gives the bits of a fresh report of that node's subtree."""
+        """The spine on each nesting scheme's report, evaluated at every node
+        of the report's path in shuffled order (so rows read jumps computed
+        for others), gives the level walk's bits for that node's subtree."""
         from anticipated_surprise.cli import SCHEMES, SchemePoint
-
-        def bits(result):
-            return [float.hex(x) for x in (result.expected_value, result.total_surprise,
-                                           result.utility, *result.stage_surprises)]
 
         rng = random.Random(13)
         # k_tr = 0 gives timing a stage of 0.0 * a negative jump: -0.0, which 0.0 + turns to 0.0
@@ -289,16 +285,36 @@ class TestMartingaleAndDecomposition:
                   for name, entry in SCHEMES.items() if entry.nests_from is not None
                   for k_tr in (3.0, 0.0)]
         for point in points:
-            tree = SCHEMES[point.scheme].build(point)
-            spine = Spine(tree, validate(tree), params, scale)
-            assert len(spine.nodes) == validate(tree).max_depth
-            order = list(range(len(spine.nodes)))
+            report = validate(SCHEMES[point.scheme].build(point))
+            nodes = report.spine[0]
+            assert len(nodes) == report.max_depth
+            spine = Spine(report, params, scale)
+            order = list(range(len(nodes)))
             rng.shuffle(order)
             for i in order:
-                node = spine.nodes[i]
-                want = _result(node, validate(node), params, scale, offset)
-                assert bits(spine.result(i, offset)) == bits(want)
-                assert spine.expected_value(i) == validate(node).expected_value
+                fresh = _walk(nodes[i])
+                want = level_walk_result(nodes[i], fresh, params, scale, offset)
+                assert result_bits(spine.result(i, offset)) == result_bits(want)
+                assert spine.values[i] == fresh.expected_value
+
+    @pytest.mark.parametrize("mode", ["none", "full", "partial:0.6"])
+    @pytest.mark.parametrize("params", [P, ModelParams(k=5.0, alpha=2.2, k2=10.0)],
+                             ids=["default", "k5"])
+    def test_one_shot_evaluation_gives_the_level_walks_bits(self, params, mode):
+        """scaled_evaluation of every scheme's tree, down the flat path where
+        the tree is a spine, gives the level walk's bits."""
+        from anticipated_surprise.cli import SCHEMES, SchemePoint
+
+        for name, entry in SCHEMES.items():
+            for k_tr in (3.0, 0.0):
+                tree = entry.build(SchemePoint(name, p=0.03, n=30, hi=2.0, lo=-1.0, p_tr=0.3,
+                                               k_tr=k_tr, p_pr=0.6))
+                report = _walk(tree)
+                got = scaled_evaluation(tree, params, parse_scaling_mode(mode))
+                t = got.transform
+                want = level_walk_result(tree, report, params, t.scale, t.offset)
+                assert result_bits(got.scaled) == result_bits(want), name
+                assert (validate(tree).spine is None) == (name == "dual-a-before")
 
 
 class TestCollapse:
