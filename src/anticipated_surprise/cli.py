@@ -292,14 +292,17 @@ def dual_ratio_point(point: SchemePoint, params: ModelParams, k2_prob: float,
     U_t is the plain hazard chain at p and n, and U_p the unit gamble won
     with probability p_pr at the probability-only gain k2_prob.  memo, a
     dict that lives for one sweep or one figure (one params and k2_prob),
-    keeps each under (p, n) and p_pr once evaluated.
+    keeps each under (p, n) and p_pr once evaluated, and U_p's params
+    under None.
     """
     if (point.p, point.n) not in memo:
         hazard = SchemePoint("hazard", p=point.p, n=point.n)
         memo[point.p, point.n] = evaluate_point(hazard, params, AffineTransform())[2]
     if point.p_pr not in memo:
+        if None not in memo:
+            memo[None] = replace(params, k2=k2_prob)
         gamble = SchemePoint("gamble", hi=1.0, lo=0.0, p=point.p_pr)
-        memo[point.p_pr] = evaluate_point(gamble, replace(params, k2=k2_prob), AffineTransform())[2]
+        memo[point.p_pr] = evaluate_point(gamble, memo[None], AffineTransform())[2]
     return _ratio(u, memo[point.p_pr] * memo[point.p, point.n], point)
 
 

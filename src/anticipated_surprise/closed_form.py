@@ -5,6 +5,10 @@ with ``builders`` and run ``tree.evaluate``.  The test suite keeps the
 two routes within 1e-9 of each other over a parameter grid, and where a
 published formula admitted more than one reading, the tree decided.
 
+Arguments are checked once, when a spec or ``ModelParams`` is built; a
+call computes on those checked floats and builds no spec, params or
+other object of its own.
+
 Conventions: q = 1 - p, ap = alpha - 1, and the per-stage constant
 C = k*p - p**alpha * q**(1-alpha), positive unless p is large.
 """
@@ -12,10 +16,10 @@ C = k*p - p**alpha * q**(1-alpha), positive unless p is large.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from enum import Enum
 
-from .core import ModelParams, ValidationError, is_whole, utility
+from .core import ModelParams, ValidationError, _modulation, is_whole, utility
 
 
 @dataclass(frozen=True)
@@ -145,10 +149,14 @@ def _chain_sum(p: float, n: float, params: ModelParams) -> float:
 def discount_factor(spec: HazardSpec, params: ModelParams) -> float:
     """Value of the delayed unit reward relative to an immediate one:
     q**n * g(total surprise).  Strictly decreasing in both n and p."""
-    q = 1.0 - spec.p
     if spec.n == 0:
         return 1.0
-    return utility(q**spec.n, hazard_total_surprise(spec, params), params)
+    return _discount(spec.p, spec.n, params)
+
+
+def _discount(p: float, n: float, params: ModelParams) -> float:
+    """discount_factor on a checked hazard p and length n > 0."""
+    return utility((1.0 - p) ** n, _chain_sum(p, n, params), params)
 
 
 def prob_only_surprise(p_pr: float, params: ModelParams) -> float:
@@ -201,6 +209,11 @@ def timing_components(spec: TimingRiskSpec, params: ModelParams) -> TimingCompon
     q**2, and the late branch adds two ordinary hazard stages.  Each
     piece equals the exhaustive tree evaluation of its stage group.
     """
+    return TimingComponents(*_timing(spec, params), e_fix=(1.0 - spec.p) ** mean_delay(spec))
+
+
+def _timing(spec: TimingRiskSpec, params: ModelParams) -> tuple[float, float, float, float, float]:
+    """TimingComponents' first five fields, delta_common to e_tr."""
     p, n, p_tr = spec.p, spec.n, spec.p_tr
     a = params.alpha
     ap = a - 1.0
@@ -216,24 +229,16 @@ def timing_components(spec: TimingRiskSpec, params: ModelParams) -> TimingCompon
         * (p**ap * (1.0 + q ** (1.0 - a)) - params.k * (1.0 + q**ap))
     )
     e_tr = p_tr * q ** (n - 1) + (1.0 - p_tr) * q ** (n + 1)
-    return TimingComponents(
-        delta_common=d_common,
-        delta_tr0=d_tr0,
-        delta_late=d_late,
-        delta_total=d_common + spec.k_tr * d_tr0 + d_late,
-        e_tr=e_tr,
-        e_fix=q ** mean_delay(spec),
-    )
+    return d_common, d_tr0, d_late, d_common + spec.k_tr * d_tr0 + d_late, e_tr
 
 
 def timing_ratio(spec: TimingRiskSpec, params: ModelParams) -> float:
     """U_tr / U_fix: the timing lottery against a fixed reward at the
     mean delay.  Below 1 means the lottery is discounted harder, i.e.
     aversion to timing risk."""
-    comps = timing_components(spec, params)
-    u_tr = utility(comps.e_tr, comps.delta_total, params)
-    u_fix = discount_factor(HazardSpec(spec.p, mean_delay(spec)), params)
-    return u_tr / u_fix
+    _, _, _, delta_total, e_tr = _timing(spec, params)
+    # the mean delay is >= 1, so the fixed option is a chain of n > 0
+    return utility(e_tr, delta_total, params) / _discount(spec.p, mean_delay(spec), params)
 
 
 def dual_surprise(spec: DualRiskSpec, params: ModelParams) -> float:
@@ -254,17 +259,14 @@ def dual_surprise(spec: DualRiskSpec, params: ModelParams) -> float:
     INCORPORATED: plain chain at the inflated hazard p'.
     """
     a = params.alpha
-    q = 1.0 - spec.p
-    base = HazardSpec(spec.p, spec.n)
+    p, n, p_pr = spec.p, spec.n, spec.p_pr
+    q = 1.0 - p
     if spec.scheme is DualScheme.SEPARATE_AFTER:
-        return spec.p_pr**a * hazard_total_surprise(base, params) + q**spec.n * prob_only_surprise(
-            spec.p_pr, params
-        )
+        return p_pr**a * _chain_sum(p, n, params) + q**n * prob_only_surprise(p_pr, params)
     if spec.scheme is DualScheme.SEPARATE_BEFORE:
-        return spec.p_pr * hazard_total_surprise(base, params) + q ** (
-            spec.n * a
-        ) * prob_only_surprise(spec.p_pr, params)
-    return hazard_total_surprise(HazardSpec(spec.inflated_hazard(), spec.n), params)
+        return p_pr * _chain_sum(p, n, params) + q ** (n * a) * prob_only_surprise(p_pr, params)
+    # DualRiskSpec checked that the inflated hazard lies in (0, 1)
+    return _chain_sum(spec.inflated_hazard(), n, params)
 
 
 def discount_ratio(spec: DualRiskSpec, params: ModelParams) -> float:
@@ -275,9 +277,10 @@ def discount_ratio(spec: DualRiskSpec, params: ModelParams) -> float:
     delay-only option, and U_p the probability-only gamble, the last with
     k2 replaced by the spec's k2_prob.
     """
-    q = 1.0 - spec.p
-    u_pt = utility(spec.p_pr * q**spec.n, dual_surprise(spec, params), params)
-    u_t = discount_factor(HazardSpec(spec.p, spec.n), params)
-    p_params = replace(params, k2=spec.k2_prob)
-    u_p = utility(spec.p_pr, prob_only_surprise(spec.p_pr, p_params), p_params)
+    p_pr = spec.p_pr
+    u_pt = utility(p_pr * (1.0 - spec.p) ** spec.n, dual_surprise(spec, params), params)
+    u_t = _discount(spec.p, spec.n, params)
+    # prob_only_surprise reads only k and alpha; g reads k2_prob for k2
+    delta_p = prob_only_surprise(p_pr, params)
+    u_p = p_pr * _modulation(delta_p, params.k1, spec.k2_prob, params.modulation)
     return u_pt / (u_p * u_t)

@@ -89,11 +89,16 @@ def surprise_modulation(delta: float, params: ModelParams) -> float:
     """Multiplicative utility correction g(delta); positive, g(0) = 1."""
     if not math.isfinite(delta):
         raise ValidationError(f"surprise must be finite, got {delta!r}")
+    return _modulation(delta, params.k1, params.k2, params.modulation)
+
+
+def _modulation(delta: float, k1: float, k2: float, modulation: Modulation) -> float:
+    """surprise_modulation on a finite delta and checked gains."""
     if delta >= 0.0:
-        return math.exp(params.k1 * delta)
-    if params.modulation is Modulation.HYPERBOLIC:
-        return 1.0 / (1.0 + params.k2 * -delta)
-    return math.exp(params.k2 * delta)
+        return math.exp(k1 * delta)
+    if modulation is Modulation.HYPERBOLIC:
+        return 1.0 / (1.0 + k2 * -delta)
+    return math.exp(k2 * delta)
 
 
 def utility(u0: float, delta: float, params: ModelParams) -> float:

@@ -875,6 +875,19 @@ class TestHelpers:
         figure_rows(fig_id)
         assert (len(calls), len(kernel_calls)) == (walks, kernels)
 
+    @pytest.mark.parametrize("fig_id", ["fig7", "figA2"])
+    def test_dual_figure_builds_u_p_params_once(self, monkeypatch, fig_id):
+        built, original = [], ModelParams.__post_init__
+
+        def counting(self):
+            built.append(self)
+            original(self)
+
+        monkeypatch.setattr(ModelParams, "__post_init__", counting)
+        figure_rows(fig_id)
+        # the figure's params, then U_p's (k2 = k2_prob) for all its rows
+        assert len(built) == 2
+
     def test_evaluate_point_u0_is_raw(self):
         point = SchemePoint("gamble", hi=10.0, lo=-10.0, p=0.5)
         u0, _, _ = evaluate_point(point, ModelParams(), NoScaling())

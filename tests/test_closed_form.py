@@ -29,6 +29,7 @@ from anticipated_surprise import (
     timing_ratio,
     utility,
 )
+from anticipated_surprise.closed_form import TimingComponents
 
 P = ModelParams()                      # k=3, alpha=1.6, k1=k2=2
 P10 = ModelParams(k2=10.0)             # the discounting parameterization
@@ -343,6 +344,10 @@ class TestSpecValidation:
         # p_pr**(1/n) and 1 - p both round to 1.0, so the hazard is 0.0
         with pytest.raises(ValidationError, match="inflated hazard 0.0"):
             DualRiskSpec(1e-17, 10**6, 0.9999999999999999, DualScheme.INCORPORATED)
+        # p_pr * (1 - p) rounds to 0.0, so the hazard is 1.0; dual_surprise
+        # takes the inflated hazard as checked here
+        with pytest.raises(ValidationError, match="inflated hazard 1.0"):
+            DualRiskSpec(0.5, 1, 5e-324, DualScheme.INCORPORATED)
 
     @pytest.mark.parametrize(
         "call,message",
@@ -380,3 +385,41 @@ class TestSpecValidation:
 
     def test_modulation_passthrough(self):
         assert surprise_modulation(-1.0, P10) == pytest.approx(1.0 / 11.0, abs=1e-15)
+
+
+class TestNoObjectPerCall:
+    """A call computes on the checked floats of its spec and params."""
+
+    @pytest.fixture
+    def built(self, monkeypatch):
+        """Names of the ModelParams, HazardSpec and TimingComponents built
+        from here on, in order."""
+        names = []
+        for cls, method in ((ModelParams, "__post_init__"), (HazardSpec, "__post_init__"),
+                            (TimingComponents, "__init__")):
+            def counting(self, *args, _original=getattr(cls, method), **kwargs):
+                names.append(type(self).__name__)
+                _original(self, *args, **kwargs)
+            monkeypatch.setattr(cls, method, counting)
+        return names
+
+    def test_counts_what_is_built(self, built):
+        replace(P, k2=1.0)
+        HazardSpec(0.03, 4)
+        timing_components(TimingRiskSpec(0.05, 7, 0.3), P)
+        assert built == ["ModelParams", "HazardSpec", "TimingComponents"]
+
+    @pytest.mark.parametrize("modulation", list(Modulation))
+    @pytest.mark.parametrize(
+        "spec",
+        [HazardSpec(0.03, 50), TimingRiskSpec(0.05, 7, 0.3, 4.0),
+         *(DualRiskSpec(0.03, 12, 0.6, scheme, 5.0) for scheme in DualScheme)],
+        ids=["discount_factor", "timing_ratio", *(scheme.value for scheme in DualScheme)],
+    )
+    def test_call_builds_nothing(self, built, spec, modulation):
+        params = replace(P10, modulation=modulation)
+        call = {HazardSpec: discount_factor, TimingRiskSpec: timing_ratio,
+                DualRiskSpec: discount_ratio}[type(spec)]
+        del built[:]
+        assert call(spec, params) > 0.0
+        assert built == []

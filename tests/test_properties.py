@@ -6,7 +6,9 @@ at points drawn from a domain the current closed forms hold on: p down
 to 1e-8 and alpha - 1 down to 1e-3 (the geometric chain sum loses
 digits below those).  Every ratio column a sweep prints must match its
 closed-form ratio on the same domain, and an n-sweep must be its rows
-evaluated one by one, bits and first error alike.  On spine-shaped trees
+evaluated one by one, bits and first error alike.  Over the whole valid
+domain, each closed-form ratio must equal, bit for bit, the composition
+of public closed forms that it stands for.  On spine-shaped trees
 with injected faults, ``validate``'s flat lane must give the stack walk's
 report or error, and ``_result`` the level walk's bits.  Draws are
 derandomized, so a run is repeatable.
@@ -19,13 +21,16 @@ from dataclasses import replace
 
 import pytest
 
-from anticipated_surprise import (Branch, DualRiskSpec, DualScheme, Internal, ModelParams,
-                                  Modulation, NoScaling, Terminal, TimingRiskSpec, ValidationError,
-                                  discount_ratio, evaluate, timing_ratio, validate)
+from anticipated_surprise import (Branch, DualRiskSpec, DualScheme, HazardSpec, Internal,
+                                  ModelParams, Modulation, NoScaling, Terminal, TimingRiskSpec,
+                                  ValidationError, discount_factor, discount_ratio, dual_surprise,
+                                  evaluate, mean_delay, prob_only_surprise, timing_components,
+                                  timing_ratio, utility, validate)
 from anticipated_surprise.cli import SCHEMES, SchemePoint, evaluate_point, sweep_rows, whole
 from anticipated_surprise.scaling import parse_scaling_mode
 from anticipated_surprise.tree import _result, _sum, _walk
 from conftest import NESTING, level_walk_result, result_bits
+from test_closed_form_bits import bits
 
 hypothesis = pytest.importorskip("hypothesis")
 st = hypothesis.strategies
@@ -104,6 +109,60 @@ def test_ratio_column_matches_closed_form_ratio(name):
         want = closed_ratio(name, point, params, k2_prob)
         # the benchmark's closed_form_gap
         assert abs(row[-1] - want) / max(1.0, abs(want)) <= 1e-9, (point, params, row, want)
+
+    check()
+
+
+# --- the closed-form ratios against their compositions ----------------------
+
+#: Any probability in (0, 1), small ones often.
+UNIT = st.one_of(log_uniform(1e-13, 1e-3), st.floats(0.0, 1.0, exclude_min=True, exclude_max=True))
+#: Any valid params, alpha - 1 down to 1e-12.
+ANY_PARAMS = st.builds(
+    ModelParams,
+    k=st.floats(1.0, 10.0, exclude_min=True),
+    alpha=log_uniform(1e-12, 4.0).map(lambda ap: 1.0 + ap),
+    k1=st.floats(0.0, 20.0),
+    k2=st.floats(0.0, 20.0),
+    modulation=st.sampled_from(Modulation),
+)
+
+
+def test_discount_ratio_is_its_composition():
+    @hypothesis.settings(max_examples=500, derandomize=True, database=None, deadline=None)
+    @hypothesis.given(UNIT, st.integers(1, 400), UNIT, st.sampled_from(DualScheme),
+                      st.floats(0.0, 20.0), ANY_PARAMS)
+    def check(p, n, p_pr, scheme, k2_prob, params):
+        try:
+            spec = DualRiskSpec(p, n, p_pr, scheme, k2_prob)
+        except ValidationError:  # an inflated hazard outside (0, 1)
+            hypothesis.reject()
+
+        def composed():
+            # U_pt / (U_p * U_t), U_p valued with k2 = k2_prob
+            u_pt = utility(p_pr * (1.0 - p) ** n, dual_surprise(spec, params), params)
+            p_params = replace(params, k2=spec.k2_prob)
+            u_p = utility(p_pr, prob_only_surprise(p_pr, p_params), p_params)
+            return u_pt / (u_p * discount_factor(HazardSpec(p, n), params))
+
+        assert bits(lambda: discount_ratio(spec, params)) == bits(composed), (spec, params)
+
+    check()
+
+
+def test_timing_ratio_is_its_composition():
+    @hypothesis.settings(max_examples=500, derandomize=True, database=None, deadline=None)
+    @hypothesis.given(UNIT, st.integers(2, 400), UNIT, st.floats(0.0, 20.0), ANY_PARAMS)
+    def check(p, n, p_tr, k_tr, params):
+        spec = TimingRiskSpec(p, n, p_tr, k_tr)
+
+        def composed():
+            # U_tr over the fixed reward at the mean delay
+            c = timing_components(spec, params)
+            fixed = discount_factor(HazardSpec(p, mean_delay(spec)), params)
+            return utility(c.e_tr, c.delta_total, params) / fixed
+
+        assert bits(lambda: timing_ratio(spec, params)) == bits(composed), (spec, params)
 
     check()
 
