@@ -62,7 +62,6 @@ from .tree import (
     ResolutionNode,
     Terminal,
     ValidationReport,
-    collapse_deterministic,
     evaluate,
     expected_value,
     load_tree,
@@ -102,7 +101,6 @@ __all__ = [
     "build_hazard_chain",
     "build_scenario",
     "build_timing_risk",
-    "collapse_deterministic",
     "derive_transform",
     "discount_factor",
     "discount_ratio",

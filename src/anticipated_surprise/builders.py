@@ -68,15 +68,15 @@ def build_timing_risk(spec: TimingRiskSpec) -> ResolutionNode:
 
 def build_dual_scheme_a(spec: DualRiskSpec) -> ResolutionNode:
     """Dual risk with the success probability as its own stage, either
-    after the hazard chain (chain survival leads into the success
-    gamble) or before it (the gamble gates entry to the chain)."""
+    after the hazard chain (chain survival leads into the success gamble)
+    or before it (the gamble's last branch leads into the chain: a spine)."""
     if spec.scheme is DualScheme.SEPARATE_AFTER:
         return _chain(spec.p, int(spec.n), build_binary_gamble(1.0, 0.0, spec.p_pr))
     if spec.scheme is DualScheme.SEPARATE_BEFORE:
         return Internal(
             (
-                Branch(spec.p_pr, build_hazard_chain(spec.p, int(spec.n))),
                 Branch(1.0 - spec.p_pr, Terminal(0.0)),
+                Branch(spec.p_pr, build_hazard_chain(spec.p, int(spec.n))),
             )
         )
     raise ValidationError(f"scheme {spec.scheme} is not a separate-resolution scheme")

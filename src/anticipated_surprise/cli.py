@@ -254,27 +254,33 @@ def _spine_point(spine: Spine, i: int, transform: AffineTransform) -> tuple[floa
     return spine.values[i], scaled.total_surprise, transform.invert_utility(scaled.utility)
 
 
+def _subnormal(values: dict[str, float]) -> str | None:
+    """The first name in values whose float is nonzero and subnormal (short of digits), or None."""
+    for name, value in values.items():
+        if 0.0 < abs(value) < sys.float_info.min:
+            return name
+    return None
+
+
 def _ratio(utility: float, reference: float, point: SchemePoint) -> float:
-    """utility / reference; ValidationError if the reference underflowed to
-    0, or either to a subnormal float, which has lost the digits a ratio
-    needs (a deep chain's value stalls there instead of shrinking)."""
+    """utility / reference; ValidationError if reference is 0 or either is subnormal."""
     undefined = f"ratio undefined at p={point.p!r}, n={point.n!r}: its"
     if reference == 0.0:
         raise ValidationError(f"{undefined} reference utility underflows to 0")
-    for name, value in (("utility", utility), ("reference utility", reference)):
-        if 0.0 < abs(value) < sys.float_info.min:
-            raise ValidationError(f"{undefined} {name} underflows to the subnormal {value!r}")
+    values = {"utility": utility, "reference utility": reference}
+    name = _subnormal(values)
+    if name is not None:
+        raise ValidationError(f"{undefined} {name} underflows to the subnormal {values[name]!r}")
     return utility / reference
 
 
 def _refuse_subnormal(point: SchemePoint, **columns: float) -> None:
-    """ValidationError if a column of point's row is a nonzero subnormal
-    float, which has lost most of the digits it would print (see _ratio)."""
-    for column, value in columns.items():
-        if 0.0 < abs(value) < sys.float_info.min:
-            row = ", ".join(f"{name}={getattr(point, name)!r}" for name in reads(point))
-            raise ValidationError(f"{column} at {row or point.scheme} underflows "
-                                  f"to the subnormal {value!r}")
+    """ValidationError if a column of point's row is a subnormal float."""
+    column = _subnormal(columns)
+    if column is not None:
+        row = ", ".join(f"{name}={getattr(point, name)!r}" for name in reads(point))
+        raise ValidationError(f"{column} at {row or point.scheme} underflows "
+                              f"to the subnormal {columns[column]!r}")
 
 
 def timing_ratio_point(point: SchemePoint, params: ModelParams, u: float) -> float:

@@ -235,10 +235,13 @@ def _timing(spec: TimingRiskSpec, params: ModelParams) -> tuple[float, float, fl
 def timing_ratio(spec: TimingRiskSpec, params: ModelParams) -> float:
     """U_tr / U_fix: the timing lottery against a fixed reward at the
     mean delay.  Below 1 means the lottery is discounted harder, i.e.
-    aversion to timing risk."""
+    aversion to timing risk.  ValidationError if U_fix underflows to 0."""
     _, _, _, delta_total, e_tr = _timing(spec, params)
     # the mean delay is >= 1, so the fixed option is a chain of n > 0
-    return utility(e_tr, delta_total, params) / _discount(spec.p, mean_delay(spec), params)
+    u_fix = _discount(spec.p, mean_delay(spec), params)
+    if u_fix == 0.0:
+        raise ValidationError("timing ratio undefined: U_fix underflows to 0")
+    return utility(e_tr, delta_total, params) / u_fix
 
 
 def dual_surprise(spec: DualRiskSpec, params: ModelParams) -> float:
@@ -275,7 +278,7 @@ def discount_ratio(spec: DualRiskSpec, params: ModelParams) -> float:
 
     U_pt values the dual option (expected value p_pr * q**n), U_t the
     delay-only option, and U_p the probability-only gamble, the last with
-    k2 replaced by the spec's k2_prob.
+    k2 replaced by the spec's k2_prob.  ValidationError if U_p * U_t is 0.
     """
     p_pr = spec.p_pr
     u_pt = utility(p_pr * (1.0 - spec.p) ** spec.n, dual_surprise(spec, params), params)
@@ -283,4 +286,6 @@ def discount_ratio(spec: DualRiskSpec, params: ModelParams) -> float:
     # prob_only_surprise reads only k and alpha; g reads k2_prob for k2
     delta_p = prob_only_surprise(p_pr, params)
     u_p = p_pr * _modulation(delta_p, params.k1, spec.k2_prob, params.modulation)
+    if u_p * u_t == 0.0:
+        raise ValidationError("discount ratio undefined: U_p * U_t underflows to 0")
     return u_pt / (u_p * u_t)

@@ -78,8 +78,8 @@ class ValidationReport:
     the last branch's probability over that total; its surprise weight;
     and the conditional expected value of each node, the bottom terminal's
     payoff last (one entry more).  ``_result`` and a ``Spine`` evaluate the
-    tree from them in one float loop.  For any other tree it is None, and
-    evaluation walks the tree level by level.
+    tree from them in ``_stages``' float loop; every built-in scheme's tree
+    is a spine.  For any other tree it is None, and evaluation walks it level by level.
     """
 
     node_count: int = 0
@@ -346,34 +346,43 @@ def evaluate(node: ResolutionNode, params: ModelParams) -> EvaluationResult:
     return _result(node, validate(node), params)
 
 
-def _result(
-    node: ResolutionNode,
-    report: ValidationReport,
-    params: ModelParams,
-    scale: float = 1.0,
-    offset: float = 0.0,
-) -> EvaluationResult:
+def _result(node: ResolutionNode, report: ValidationReport, params: ModelParams,
+            scale: float = 1.0, offset: float = 0.0) -> EvaluationResult:
     """Evaluation of the tree node from its own report, with every payoff
     x read as (x - offset) / scale.  Conditional values map the same way,
     so the offset cancels in each jump and the jumps are divided by scale;
     the identity (1, 0) leaves every float as it is.  A spine-shaped tree
-    is evaluated down its path in ``Spine.result``'s float loop, any other
-    level by level: the same floats in the same order."""
+    is evaluated down its path in ``_stages``' float loop, any other level
+    by level: the same floats in the same order."""
     table = report.conditional_values
+    u0 = (report.expected_value - offset) / scale
     if report.spine is None:
         surprises = _stage_surprises(node, table, params, scale)
-    else:
-        nodes, totals, survivals, weights, _ = report.spine
-        surprises, reach = [], 1.0
-        for k, nd in enumerate(nodes):
-            surprises.append(0.0 + reach * weights[k] * _jump(nd, totals[k], table, params, scale))
-            reach *= survivals[k]
-    return _finished(surprises, (report.expected_value - offset) / scale, params)
+        return _finished(surprises, _sum(surprises), u0, params)
+    nodes, totals, survivals, weights, _ = report.spine
+    jumps = []
+    for nd, total in zip(nodes, totals):
+        jumps.append(_jump(nd, total, table, params, scale))
+    return _stages(jumps, weights, survivals, 0, u0, params)
 
 
-def _finished(surprises: list[float], u0: float, params: ModelParams) -> EvaluationResult:
-    """The result of a tree with these stage surprises and (mapped) expected value u0."""
-    total = _sum(surprises)
+def _stages(jumps: list[float], weights: list[float], survivals: list[float], i: int,
+            u0: float, params: ModelParams) -> EvaluationResult:
+    """The result of the subtree at node i of a spine's path, u0 its (mapped) expected value:
+    jumps, the path nodes' kernel jumps, turn in place into the level walk's stage surprises,
+    0.0 + reach * w * jump with reach from 1.0 times each survival; those above i are dropped."""
+    reach, total = 1.0, 0.0  # total: _sum's, in the same loop
+    for k in range(i, len(jumps)):
+        jumps[k] = stage = 0.0 + reach * weights[k] * jumps[k]
+        total += stage
+        reach *= survivals[k]
+    del jumps[:i]
+    return _finished(jumps, total, u0, params)
+
+
+def _finished(surprises: list[float], total: float, u0: float,
+              params: ModelParams) -> EvaluationResult:
+    """The result of a tree with these stage surprises, their _sum and (mapped) u0."""
     if not isfinite(total):  # a loss's -k*|z|**alpha overflows silently
         raise OverflowError(f"total surprise is {total!r}")
     return EvaluationResult(u0, tuple(surprises), total, utility(u0, total, params))
@@ -384,13 +393,9 @@ class Spine:
     evaluated at any node of its path of last branches under one params
     and one scale.
 
-    Path node i + k is then the one internal node on level k of the
-    subtree at path node i, so that subtree's stage surprises are, for
-    j = i, i+1, ..., ``0.0 + (reach * weights[j]) * jumps[j]``, reach
-    starting at 1.0 and multiplied by ``survivals[j]`` after each level:
-    the floats of the level walk, in its order.  Each jump is computed
-    once, top-down as the rows first reach it, so a kernel error is the
-    one that the row, evaluated alone, meets.
+    Each path node's kernel jump is computed once, top-down as the rows
+    first reach it, so a kernel error is the one that the row, evaluated
+    alone, meets.
     """
 
     def __init__(self, report: ValidationReport, params: ModelParams, scale: float) -> None:
@@ -402,16 +407,13 @@ class Spine:
     def result(self, i: int, offset: float) -> EvaluationResult:
         """``_result`` of the subtree at path node i, payoffs read as
         (x - offset) / scale."""
-        jumps, weights, survivals = self.jumps, self.weights, self.survivals
+        jumps = self.jumps
         if i < self._computed:
             for k in range(i, self._computed):
                 jumps[k] = _jump(self.nodes[k], self.totals[k], self.table, self.params, self.scale)
             self._computed = i
-        surprises, reach = [], 1.0
-        for k in range(i, len(jumps)):
-            surprises.append(0.0 + reach * weights[k] * jumps[k])
-            reach *= survivals[k]
-        return _finished(surprises, (self.values[i] - offset) / self.scale, self.params)
+        return _stages(jumps.copy(), self.weights, self.survivals, i,
+                       (self.values[i] - offset) / self.scale, self.params)
 
 
 def _sum(values: Iterable[float]) -> float:
@@ -421,21 +423,6 @@ def _sum(values: Iterable[float]) -> float:
     for value in values:
         total += value
     return total
-
-
-def collapse_deterministic(node: ResolutionNode) -> ResolutionNode:
-    """Drop internal nodes with a single (probability-1) branch.
-
-    Such nodes revise the conditional expected value by zero, so the
-    kernel gives them zero surprise and removal leaves every evaluation
-    result unchanged.
-    """
-    validate(node)
-    return _fold(node, lambda leaf: leaf, _collapsed)
-
-
-def _collapsed(node: Internal, children: list) -> ResolutionNode:
-    return children[0] if len(children) == 1 else _rebuilt(node, children)
 
 
 def _rebuilt(node: Internal, children: list) -> Internal:

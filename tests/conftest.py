@@ -28,7 +28,7 @@ def level_walk_result(node, report, params: ModelParams, scale: float = 1.0,
     """``tree._result`` by the level walk, whatever the tree's shape: the
     reference that the flat loop over a spine's path must match bit for bit."""
     surprises = _stage_surprises(node, report.conditional_values, params, scale)
-    return _finished(surprises, (report.expected_value - offset) / scale, params)
+    return _finished(surprises, _sum(surprises), (report.expected_value - offset) / scale, params)
 
 
 def result_bits(result) -> list[str]:

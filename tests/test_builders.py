@@ -19,7 +19,6 @@ from anticipated_surprise import (
     build_hazard_chain,
     build_scenario,
     build_timing_risk,
-    collapse_deterministic,
     evaluate,
     evaluate_scaled,
     expected_value,
@@ -224,17 +223,19 @@ def shared_and_unshared(scheme, p, n):
     if scheme == "dual-a-before":
         spec = DualRiskSpec(p, n, 0.6, DualScheme.SEPARATE_BEFORE)
         gate = Internal(
-            (Branch(0.6, unshared_chain(p, n, Terminal(1.0))), Branch(1.0 - 0.6, Terminal(0.0)))
+            (Branch(1.0 - 0.6, Terminal(0.0)), Branch(0.6, unshared_chain(p, n, Terminal(1.0))))
         )
         return build_dual_scheme_a(spec), gate, [n]
     spec = DualRiskSpec(p, n, 0.6, DualScheme.INCORPORATED)
     return build_dual_scheme_b(spec), unshared_chain(spec.inflated_hazard(), n, Terminal(1.0)), [n]
 
 
-def loss_branches(tree):
+def loss_branches(tree, gated=False):
     """The loss branch of every hazard level, top-down along the chain; a
-    hazard level is an internal node whose first branch pays 0."""
-    out, stack = [], [tree]
+    hazard level is an internal node whose first branch pays 0.  With
+    gated, tree is a dual-a-before gate, whose own first branch pays 0 but
+    is no hazard level's loss."""
+    out, stack = [], [tree.branches[-1].child if gated else tree]
     while stack:
         nd = stack.pop()
         if isinstance(nd, Internal):
@@ -253,7 +254,7 @@ class TestSharedStructure:
     def test_each_chain_reuses_one_loss_branch(self, scheme):
         for p, n in SHARED_GRID:
             tree, _, lengths = shared_and_unshared(scheme, p, n)
-            found = loss_branches(tree)
+            found = loss_branches(tree, gated=scheme == "dual-a-before")
             assert len(found) == sum(lengths)
             start = 0
             for length in lengths:
@@ -274,8 +275,3 @@ class TestSharedStructure:
     def test_round_trip_and_collapse(self, scheme):
         tree, _, _ = shared_and_unshared(scheme, 0.03, 5)
         assert tree_from_dict(tree_to_dict(tree)) == tree
-        assert collapse_deterministic(tree) == tree
-        wrapped = Internal((Branch(1.0, tree),))
-        collapsed = collapse_deterministic(wrapped)
-        assert collapsed == tree
-        assert evaluate(collapsed, P) == evaluate(tree, P)

@@ -8,7 +8,7 @@ from pathlib import Path
 import pytest
 
 from anticipated_surprise import (Internal, ModelParams, Terminal, ValidationError,
-                                  build_binary_gamble, evaluate)
+                                  build_binary_gamble, evaluate, validate)
 from anticipated_surprise.cli import (
     FIGURE_FLAGS,
     FIGURES,
@@ -1014,12 +1014,19 @@ class TestNGrid:
         assert (code, out, err) == alone and code == 2
 
     @pytest.mark.parametrize("n", [2, 5, 40])
-    @pytest.mark.parametrize("scheme", NESTING)
+    @pytest.mark.parametrize("scheme", SCHEMES)
     def test_nesting_trees_are_spines(self, scheme, n):
-        """Every internal node lies on the path of last branches: each
-        other branch ends in a terminal (see Scheme.nests_from)."""
-        fixed = NESTING[scheme]
-        node = SCHEMES[scheme].build(replace(fixed, n=n))
+        """Every scheme's tree is a spine, the nesting ones' (see
+        Scheme.nests_from) included: each internal node lies on the path of
+        last branches, each other branch ends in a terminal, and validate
+        reports that path."""
+        tree = SCHEMES[scheme].build(SchemePoint(scheme, p=0.03, n=n, hi=2.0, lo=-1.0, p_tr=0.3,
+                                                 k_tr=4.0, p_pr=0.6))
+        path, node = [], tree
         while isinstance(node, Internal):
             assert all(isinstance(br.child, Terminal) for br in node.branches[:-1])
+            path.append(node)
             node = node.branches[-1].child
+        spine = validate(tree).spine
+        assert spine is not None and len(spine[0]) == len(path)
+        assert all(got is want for got, want in zip(spine[0], path))

@@ -352,6 +352,23 @@ class TestSpecValidation:
     @pytest.mark.parametrize(
         "call,message",
         [
+            (lambda: discount_ratio(DualRiskSpec(0.9, 400, 0.5), P),
+             "discount ratio undefined: U_p * U_t underflows to 0"),
+            (lambda: timing_ratio(TimingRiskSpec(0.9, 400, 0.5), P),
+             "timing ratio undefined: U_fix underflows to 0"),
+        ],
+        ids=["discount_ratio", "timing_ratio"],
+    )
+    def test_ratio_of_an_underflowed_reference_is_refused(self, call, message):
+        # q**n underflows to 0.0 for these valid specs, and so does the
+        # utility each ratio divides by
+        with pytest.raises(ValidationError) as exc:
+            call()
+        assert str(exc.value) == message
+
+    @pytest.mark.parametrize(
+        "call,message",
+        [
             (lambda: HazardSpec(0.03, math.inf), "n must be finite and >= 0, got inf"),
             (lambda: TimingRiskSpec(0.03, 4, 0.5, math.nan),
              "k_tr must be finite and >= 0, got nan"),

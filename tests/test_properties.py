@@ -143,7 +143,10 @@ def test_discount_ratio_is_its_composition():
             u_pt = utility(p_pr * (1.0 - p) ** n, dual_surprise(spec, params), params)
             p_params = replace(params, k2=spec.k2_prob)
             u_p = utility(p_pr, prob_only_surprise(p_pr, p_params), p_params)
-            return u_pt / (u_p * discount_factor(HazardSpec(p, n), params))
+            reference = u_p * discount_factor(HazardSpec(p, n), params)
+            if reference == 0.0:
+                raise ValidationError("discount ratio undefined: U_p * U_t underflows to 0")
+            return u_pt / reference
 
         assert bits(lambda: discount_ratio(spec, params)) == bits(composed), (spec, params)
 
@@ -160,6 +163,8 @@ def test_timing_ratio_is_its_composition():
             # U_tr over the fixed reward at the mean delay
             c = timing_components(spec, params)
             fixed = discount_factor(HazardSpec(p, mean_delay(spec)), params)
+            if fixed == 0.0:
+                raise ValidationError("timing ratio undefined: U_fix underflows to 0")
             return utility(c.e_tr, c.delta_total, params) / fixed
 
         assert bits(lambda: timing_ratio(spec, params)) == bits(composed), (spec, params)

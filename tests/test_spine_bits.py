@@ -2,14 +2,15 @@
 
 A tree is spine-shaped when its internal nodes all lie on the path of
 last branches.  ``goldens/spine_bits.json`` holds, as float hex, what
-``tree.validate`` and ``scaling.scaled_evaluation`` give for such trees,
-and for one that is not, on the cases ``evaluate_bits.json`` and
-``grid_bits.json`` leave out: built-in schemes under ``full``,
-``partial:0.6`` and ``scale:3``; a spine whose probabilities sum to
-1 - 4e-13; spines with surprise weights 0 and 2.5 and payoffs of both
-zero signs; a bare payoff and a one-level gamble; ``dual-a-before``,
-whose chain hangs off its first branch; and one-shot rows of 400-level
-hazard chains at four p values of the deep-sweep p-grid.  Each case
+``tree.validate`` and ``scaling.scaled_evaluation`` give for such trees
+on the cases ``evaluate_bits.json`` and ``grid_bits.json`` leave out:
+built-in schemes under ``full``, ``partial:0.6`` and ``scale:3``; a
+spine whose probabilities sum to 1 - 4e-13; spines with surprise
+weights 0 and 2.5 and payoffs of both zero signs; a bare payoff and a
+one-level gamble; and one-shot rows of 400-level hazard chains at four
+p values of the deep-sweep p-grid.  The ``dual-a-before`` cases were
+pinned when its gate listed its chain first, so that the tree took the
+stack walk and the level walk; the same bits hold with the chain last.  Each case
 records the report's counts, payoff range (zero's sign included),
 renormalized paths and expected value, and the evaluation's transform,
 expected value, total surprise, utilities and a digest of its stage

@@ -10,7 +10,6 @@ from anticipated_surprise import (
     ModelParams,
     Terminal,
     ValidationError,
-    collapse_deterministic,
     evaluate,
     expected_value,
     load_tree,
@@ -159,25 +158,6 @@ class TestDepth:
                     assert list(entry) == ["p", "node"] and entry["p"] == br.probability
                     pairs.append((br.child, entry["node"]))
 
-    def test_deep_collapse(self):
-        for tree in self.deep_trees():
-            wrapped = tree
-            for _ in range(5_000):
-                wrapped = Internal((Branch(1.0, wrapped),), surprise_weight=3.0)
-            collapsed = collapse_deterministic(wrapped)
-            assert validate(collapsed).node_count == validate(tree).node_count
-            assert evaluate(collapsed, P) == evaluate(tree, P)
-            pairs = [(collapsed, tree)]
-            while pairs:
-                got, want = pairs.pop()
-                assert type(got) is type(want)
-                if isinstance(got, Terminal):
-                    assert got == want
-                    continue
-                assert got.surprise_weight == want.surprise_weight
-                assert [b.probability for b in got.branches] == [b.probability for b in want.branches]
-                pairs.extend((g.child, w.child) for g, w in zip(got.branches, want.branches))
-
 
 class TestStageSurprises:
     def test_terminal_has_no_stages(self):
@@ -301,8 +281,8 @@ class TestMartingaleAndDecomposition:
     @pytest.mark.parametrize("params", [P, ModelParams(k=5.0, alpha=2.2, k2=10.0)],
                              ids=["default", "k5"])
     def test_one_shot_evaluation_gives_the_level_walks_bits(self, params, mode):
-        """scaled_evaluation of every scheme's tree, down the flat path where
-        the tree is a spine, gives the level walk's bits."""
+        """scaled_evaluation of every scheme's tree, a spine, down the flat
+        path gives the level walk's bits."""
         from anticipated_surprise.cli import SCHEMES, SchemePoint
 
         for name, entry in SCHEMES.items():
@@ -314,39 +294,7 @@ class TestMartingaleAndDecomposition:
                 t = got.transform
                 want = level_walk_result(tree, report, params, t.scale, t.offset)
                 assert result_bits(got.scaled) == result_bits(want), name
-                assert (validate(tree).spine is None) == (name == "dual-a-before")
-
-
-class TestCollapse:
-    def test_chain_of_sure_links_collapses_to_terminal(self):
-        node = Terminal(1.0)
-        for _ in range(3):
-            node = Internal((Branch(1.0, node),))
-        assert collapse_deterministic(node) == Terminal(1.0)
-
-    def test_hazard_chain_unchanged(self):
-        node = chain(0.03, 4)
-        assert collapse_deterministic(node) == node
-
-    def test_wrapped_gamble_keeps_evaluation(self):
-        inner = gamble(1.0, 0.0, 0.3)
-        wrapped = Internal((Branch(1.0, inner),), surprise_weight=5.0)
-        collapsed = collapse_deterministic(wrapped)
-        assert collapsed == inner
-        before = evaluate(wrapped, P)
-        after = evaluate(collapsed, P)
-        assert after.expected_value == pytest.approx(before.expected_value, abs=1e-15)
-        assert after.total_surprise == pytest.approx(before.total_surprise, abs=1e-12)
-        assert after.utility == pytest.approx(before.utility, abs=1e-12)
-
-    def test_preserves_results_on_random_trees(self):
-        rng = random.Random(4242)
-        for _ in range(20):
-            tree = random_tree(rng, max_depth=4)
-            before = evaluate(tree, P)
-            after = evaluate(collapse_deterministic(tree), P)
-            assert after.expected_value == pytest.approx(before.expected_value, abs=1e-12)
-            assert after.total_surprise == pytest.approx(before.total_surprise, abs=1e-12)
+                assert validate(tree).spine is not None, name
 
 
 class TestFileFormat:
