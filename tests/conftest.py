@@ -1,19 +1,23 @@
-"""Shared test helpers.
+"""Shared test helpers, standard library only (the bit scripts import
+them without pytest).
 
 ``trajectory_stage_surprises`` is an independent oracle: it enumerates
 whole root-to-leaf trajectories and averages the kernel over them, per
 the definition, instead of grouping by node and level like the library
 does.  Agreement between the two routes is what the tree tests check.
+``walk_report`` is the oracle of ``tree.validate``'s report.
 """
 
 from __future__ import annotations
 
 import random
+from math import inf, isfinite
 
-from anticipated_surprise import Branch, Internal, ModelParams, Terminal, surprise_kernel
+from anticipated_surprise import (Branch, Internal, ModelParams, Terminal, ValidationError,
+                                  ValidationReport, surprise_kernel)
 from anticipated_surprise.cli import SchemePoint
 # _sum: left to right, so that a seed gives the same trees on every interpreter
-from anticipated_surprise.tree import _finished, _stage_surprises, _sum
+from anticipated_surprise.tree import PROBABILITY_SUM_TOL, _finished, _stage_surprises, _sum
 
 #: A point of each scheme whose trees nest in n, all but n fixed.
 NESTING = {
@@ -109,3 +113,78 @@ def random_tree(rng: random.Random, max_depth: int = 4, payoff_range=(-5.0, 5.0)
         ),
         surprise_weight=weight,
     )
+
+
+def _path(stack: list, *indices: int) -> str:
+    """Path of the node reached from the walk's open ancestors (the
+    post-visit entries on ``stack``) through the given branch indices."""
+    trail = [i for _, _, i, post in stack if post] + list(indices)
+    return "root" + "".join(f".branches[{i}]" for i in trail if i >= 0)
+
+
+def walk_report(node) -> ValidationReport:
+    """``tree.validate``'s explicit-stack post-order walk, verbatim: the
+    oracle of validate's report on any valid tree and of its error on a
+    tree with one fault.  It pops a node's last branch first."""
+    report = ValidationReport()
+    values = report.conditional_values
+    count = max_depth = 0
+    lo, hi = inf, -inf
+    # (node, depth, branch index in its parent, post-visit?)
+    stack: list = [(node, 0, -1, False)]
+    push, pop = stack.append, stack.pop
+    while stack:
+        nd, depth, index, post = pop()
+        if post:
+            num = total = 0.0
+            for br in nd.branches:
+                child = br.child
+                p = br.probability
+                num += p * (child.payoff if isinstance(child, Terminal) else values[id(child)])
+                total += p
+            values[id(nd)] = num / total
+            continue
+        count += 1
+        if depth > max_depth:
+            max_depth = depth
+        if isinstance(nd, Terminal):
+            payoff = nd.payoff
+            if not isfinite(payoff):
+                raise ValidationError(f"{_path(stack, index)}: payoff must be finite, got {payoff!r}")
+            if payoff < lo:
+                lo = payoff
+            if payoff > hi:
+                hi = payoff
+            continue
+        if not isinstance(nd, Internal):
+            raise ValidationError(f"{_path(stack, index)}: not a resolution node: {nd!r}")
+        branches = nd.branches
+        if not branches:
+            raise ValidationError(f"{_path(stack, index)}: internal node needs at least one branch")
+        weight = nd.surprise_weight
+        if not isfinite(weight) or weight < 0.0:
+            raise ValidationError(
+                f"{_path(stack, index)}: surprise_weight must be finite and >= 0, got {weight!r}"
+            )
+        # the node's post-visit entry first, so it is popped after its children
+        push((nd, depth, index, True))
+        depth += 1
+        total = 0.0
+        for i, br in enumerate(branches):
+            p = br.probability
+            if not 0.0 < p <= 1.0:  # also rejects nan and inf
+                raise ValidationError(f"{_path(stack, i)}: probability must lie in (0, 1], got {p!r}")
+            total += p
+            push((br.child, depth, i, False))
+        if abs(total - 1.0) > PROBABILITY_SUM_TOL:
+            raise ValidationError(
+                f"{_path(stack)}: branch probabilities sum to {total!r}, expected 1 "
+                f"within {PROBABILITY_SUM_TOL}"
+            )
+        if total != 1.0:
+            report.renormalized.append(_path(stack))
+    report.node_count = count
+    report.max_depth = max_depth
+    report.payoff_min, report.payoff_max = lo, hi
+    report.expected_value = node.payoff if isinstance(node, Terminal) else values[id(node)]
+    return report

@@ -8,10 +8,10 @@ digits below those).  Every ratio column a sweep prints must match its
 closed-form ratio on the same domain, and an n-sweep must be its rows
 evaluated one by one, bits and first error alike.  Over the whole valid
 domain, each closed-form ratio must equal, bit for bit, the composition
-of public closed forms that it stands for.  On spine-shaped trees
-with injected faults, ``validate``'s flat lane must give the stack walk's
-report or error, and ``_result`` the level walk's bits.  Draws are
-derandomized, so a run is repeatable.
+of public closed forms that it stands for.  On spine-shaped and bushy
+trees, valid or with one injected fault, ``validate`` must give the stack
+walk's report or error (``conftest.walk_report``), and ``_result`` the
+level walk's bits.  Draws are derandomized, so a run is repeatable.
 """
 
 from __future__ import annotations
@@ -28,8 +28,8 @@ from anticipated_surprise import (Branch, DualRiskSpec, DualScheme, HazardSpec, 
                                   timing_ratio, utility, validate)
 from anticipated_surprise.cli import SCHEMES, SchemePoint, evaluate_point, sweep_rows, whole
 from anticipated_surprise.scaling import parse_scaling_mode
-from anticipated_surprise.tree import _result, _sum, _walk
-from conftest import NESTING, level_walk_result, result_bits
+from anticipated_surprise.tree import _result, _sum
+from conftest import NESTING, level_walk_result, result_bits, walk_report
 from test_closed_form_bits import bits
 
 hypothesis = pytest.importorskip("hypothesis")
@@ -290,7 +290,7 @@ def test_spine_lane_gives_the_walks_report_or_error(case, transform):
     raises its message; on a valid spine its path is the tree's path of last
     branches, and _result gives the level walk's bits from it."""
     tree, faults = case
-    want = outcome(_walk, tree)
+    want = outcome(walk_report, tree)
     assert outcome(validate, tree) == want, faults
     if isinstance(want, str):
         return
@@ -309,5 +309,109 @@ def test_spine_lane_gives_the_walks_report_or_error(case, transform):
     assert survivals == [x.branches[-1].probability / t for x, t in zip(path, totals)]
     params, (scale, offset) = ModelParams(k2=10.0), transform
     got = _result(tree, report, params, scale, offset)
-    assert result_bits(got) == result_bits(level_walk_result(tree, _walk(tree), params, scale,
+    assert result_bits(got) == result_bits(level_walk_result(tree, walk_report(tree), params, scale,
                                                              offset))
+
+
+# --- any tree: bushy shapes, shared subtrees and node subclasses ----------
+
+
+class SubTerminal(Terminal):
+    """A terminal of another class: validate takes it as a Terminal."""
+
+
+class SubInternal(Internal):
+    """An internal node of another class: validate takes it as an Internal."""
+
+
+#: Payoffs with ties and zeros of both signs.
+TIED_PAYOFFS = st.one_of(st.sampled_from([0.0, -0.0, 1.0, -1.0, 2.5]), st.floats(-5.0, 5.0))
+#: The faults a bushy tree may carry, one place each.
+NODE_FAULTS = FAULTS[1:]
+
+
+def _fault(draw, fault: str, nodes: list, shared) -> None:
+    """Inject fault at a drawn place of the mutable tree nodes (lists
+    [weight, [[p, child] ...], subclass?]), outside the shared subtree."""
+    nodes = [nd for nd in nodes if nd is not shared and nd[1]]
+    if not nodes:
+        return
+    level = nodes[draw(st.integers(0, len(nodes) - 1))]
+    branch = level[1][draw(st.integers(0, len(level[1]) - 1))]
+    if fault == "probability":
+        branch[0] = draw(st.sampled_from([0.0, -0.25, 1.5, math.nan, math.inf]))
+    elif fault == "weight":
+        level[0] = draw(st.sampled_from([math.nan, -1.0, -1e-300, math.inf]))
+    elif fault == "payoff":
+        branch[1] = Terminal(draw(st.sampled_from([math.inf, -math.inf, math.nan])))
+    elif fault == "empty":
+        level[1] = []
+    elif fault == "not-a-node":
+        branch[1] = draw(st.sampled_from([None, 1.0, "payoff", Branch(1.0, Terminal(0.0))]))
+    else:  # sum
+        branch[0] = branch[0] * (1.0 - 1e-9) if branch[0] > 0.5 else branch[0] + 1e-9
+
+
+@st.composite
+def bushy_trees(draw, min_faults: int = 0, max_faults: int = 1):
+    """(tree, faults): a tree of depth up to 8 with 1 to 4 branches a node,
+    any of which may lead on; payoffs with ties and both zero signs;
+    probability sums off from 1 by up to 5e-13 at some nodes; weights 0, 1
+    and others; one subtree shared by two branches and one node of a
+    subclass, where the shape allows; and min_faults to max_faults faults
+    drawn from NODE_FAULTS, each at a drawn place outside the shared subtree."""
+    nodes = []  # the internal nodes, pre-order: [weight, [[p, child] ...], subclass?]
+    budget = [draw(st.integers(0, 40))]  # internal nodes still to grow
+
+    def grow(depth: int):
+        if depth == 7 or budget[0] <= 0 or draw(st.integers(0, 3)) == 0:
+            return Terminal(draw(TIED_PAYOFFS))
+        budget[0] -= 1
+        raw = draw(st.lists(st.floats(0.05, 1.0), min_size=1, max_size=4))
+        probs = [x / _sum(raw) for x in raw]
+        off = draw(st.one_of(st.just(0.0), st.floats(-5e-13, 5e-13)))
+        probs[-1] = min(1.0, 1.0 - _sum(probs[:-1]) + off)
+        weight = draw(st.one_of(st.sampled_from([1.0, 0.0]), st.floats(0.0, 5.0)))
+        level = [weight, [], False]
+        nodes.append(level)
+        level[1] = [[p, grow(depth + 1)] for p in probs]
+        return level
+
+    root = grow(0)
+    shared = None
+    gambles = [nd for nd in nodes if all(isinstance(c, Terminal) for _, c in nd[1])]
+    if gambles and len(nodes) > 1:
+        # another node's branch leads to a gamble too; the gamble has no node
+        # below it, so no cycle can form
+        shared = gambles[draw(st.integers(0, len(gambles) - 1))]
+        others = [nd for nd in nodes if nd is not shared]
+        level = others[draw(st.integers(0, len(others) - 1))]
+        level[1][draw(st.integers(0, len(level[1]) - 1))][1] = shared
+    if nodes:
+        nodes[draw(st.integers(0, len(nodes) - 1))][2] = True
+    faults = [draw(st.sampled_from(NODE_FAULTS))
+              for _ in range(draw(st.integers(min_faults, max_faults)))]
+    for fault in faults:
+        _fault(draw, fault, nodes, shared)
+    built: dict[int, object] = {}
+
+    def build(item):
+        if not isinstance(item, list):
+            return item
+        if id(item) not in built:
+            weight, branches, sub = item
+            cls = SubInternal if sub else Internal
+            built[id(item)] = cls(tuple(Branch(p, build(c)) for p, c in branches), weight)
+        return built[id(item)]
+
+    return build(root), faults
+
+
+@hypothesis.settings(max_examples=500, derandomize=True, database=None, deadline=None)
+@hypothesis.given(bushy_trees())
+def test_validate_gives_the_walks_report_or_error_on_any_tree(case):
+    """On a valid tree of any shape, or one with a single fault anywhere
+    (inside a subtree off the last branch too), validate gives the stack
+    walk's report, field for field with floats as hex, or its message."""
+    tree, faults = case
+    assert outcome(validate, tree) == outcome(walk_report, tree), faults

@@ -20,8 +20,9 @@ from anticipated_surprise import (
     validate,
 )
 from anticipated_surprise.scaling import NoScaling, parse_scaling_mode, scaled_evaluation
-from anticipated_surprise.tree import Spine, _walk
-from conftest import level_walk_result, random_tree, result_bits, trajectory_stage_surprises
+from anticipated_surprise.tree import Spine
+from conftest import (level_walk_result, random_tree, result_bits, trajectory_stage_surprises,
+                      walk_report)
 
 P = ModelParams()
 
@@ -272,7 +273,7 @@ class TestMartingaleAndDecomposition:
             order = list(range(len(nodes)))
             rng.shuffle(order)
             for i in order:
-                fresh = _walk(nodes[i])
+                fresh = walk_report(nodes[i])
                 want = level_walk_result(nodes[i], fresh, params, scale, offset)
                 assert result_bits(spine.result(i, offset)) == result_bits(want)
                 assert spine.values[i] == fresh.expected_value
@@ -289,7 +290,7 @@ class TestMartingaleAndDecomposition:
             for k_tr in (3.0, 0.0):
                 tree = entry.build(SchemePoint(name, p=0.03, n=30, hi=2.0, lo=-1.0, p_tr=0.3,
                                                k_tr=k_tr, p_pr=0.6))
-                report = _walk(tree)
+                report = walk_report(tree)
                 got = scaled_evaluation(tree, params, parse_scaling_mode(mode))
                 t = got.transform
                 want = level_walk_result(tree, report, params, t.scale, t.offset)
