@@ -21,7 +21,7 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass, field
-from math import inf, isfinite
+from math import inf, isfinite, nan
 from typing import Callable, Iterable, Union
 
 from .core import ModelParams, ValidationError, surprise_kernel, utility
@@ -62,24 +62,25 @@ ResolutionNode = Union[Terminal, Internal]
 
 @dataclass
 class ValidationReport:
-    """Outcome of the validation walk.
+    """Outcome of ``validate``'s walk.
 
     Renormalized paths had probability sums off from 1 by at most
     PROBABILITY_SUM_TOL and are divided through by their exact sum during
-    evaluation.  The walk also yields what evaluation needs: the payoff
-    range, the root's expected value and, in ``conditional_values``, the
-    conditional expected value of every internal node keyed by ``id()``
-    (valid while the tree it was computed from is alive).
+    evaluation; they are listed as a walk taking each last branch first
+    meets them.  The walk also yields what evaluation needs: the payoff
+    range (of equal payoffs, the last met in branch order), the root's
+    expected value and, in ``conditional_values``, the conditional expected
+    value of every internal node keyed by ``id()`` (valid while the tree it
+    was computed from is alive).
 
-    If the tree is spine-shaped, its internal nodes all on the path of last
-    branches (each other branch ends in a terminal), ``spine`` holds that
-    path as five lists: its internal nodes, root first; each one's total,
-    its branch probabilities summed from 0.0 in branch order; its survival,
-    the last branch's probability over that total; its surprise weight;
-    and the conditional expected value of each node, the bottom terminal's
-    payoff last (one entry more).  ``_result`` and a ``Spine`` evaluate the
-    tree from them in ``_stages``' float loop; every built-in scheme's tree
-    is a spine.  For any other tree it is None, and evaluation walks it level by level.
+    If the walk never pushed, the tree is a spine (every built-in scheme's
+    is): its internal nodes all lie on the path of last branches, and
+    ``spine`` holds that path as five lists: its internal nodes, root
+    first; each one's total, its branch probabilities summed from 0.0 in
+    order; its survival, the last probability over that total; its surprise
+    weight; and each node's conditional expected value, the bottom payoff
+    last.  ``_result`` and a ``Spine`` evaluate it in ``_stages``' float
+    loop.  For any other tree it is None: evaluation walks it level by level.
     """
 
     node_count: int = 0
@@ -105,177 +106,134 @@ class EvaluationResult:
     utility: float
 
 
-def _path(stack: list, *indices: int) -> str:
-    """Path of the node reached from the walk's open ancestors (the
-    post-visit entries on ``stack``) through the given branch indices."""
-    trail = [i for _, _, i, post in stack if post] + list(indices)
-    return "root" + "".join(f".branches[{i}]" for i in trail if i >= 0)
-
-
 def validate(node: ResolutionNode) -> ValidationReport:
     """Check payoff finiteness, branch probabilities, and weights, and
     compute every internal node's conditional expected value.
 
-    One explicit-stack post-order walk, so any depth works.  A node's
-    value is sum(p * child value) / sum(p) over its branches in order.
-    Raises ValidationError naming the path of the offending node.
-
-    A spine-shaped tree takes a flat lane instead: one loop down the last
-    branches and one back up give the walk's report, float for float, and
-    its path (``ValidationReport.spine``).  At its first fault, or at a
-    non-last branch that does not end in a terminal, the lane gives up and
-    the walk runs from the root, so every error is the walk's.
+    One explicit-stack walk, depth first in branch order, so any depth
+    works.  A node's loop checks its branches in order and, at one not the
+    last that leads on, pushes a resume point and walks that subtree first;
+    then come its sum check, its first non-finite payoff or non-node child
+    and the step down its last branch.  A node's value is sum(p * child
+    value) / sum(p) over its branches in order.  Raises ValidationError
+    naming the path of the first fault met.
     """
-    report = _spine_lane(node)
-    return _walk(node) if report is None else report
-
-
-def _spine_lane(node: ResolutionNode) -> ValidationReport | None:
-    """validate's report of a valid spine-shaped tree, with its path;
-    None for any other tree.
-
-    One loop down the last branches makes the walk's checks of each node
-    on the path and its terminals, and sums each node's terminal branches;
-    one loop back up finishes each node's value with its last branch.  The
-    products and sums are the walk's, in its order.  The walk visits the
-    terminals in the reverse of the order met going down, so the payoff
-    range takes the last of equal payoffs met here (``<=``, ``>=``) where
-    the walk keeps the first (``<``, ``>``), and a zero keeps the walk's
-    sign.  Any type but exactly Terminal or Internal goes to the walk.
-    """
-    nodes: list[Internal] = []
-    totals: list[float] = []
-    survivals: list[float] = []
-    weights: list[float] = []
-    sums: list[float] = []  # over each node's terminal branches
-    renormalized: list[int] = []  # depths of the nodes whose sum is not 1.0
-    count = 1  # the bottom terminal; each node adds itself and its other branches
+    nodes, totals, sums, survivals, weights = [], [], [], [], []  # of the internal nodes met
+    leads: dict[int, tuple[int, int]] = {}  # node k not met right after its parent: (parent, index)
+    renormalized: list[int] = []
     lo, hi = inf, -inf
-    nd = node
-    while type(nd) is Internal:
-        branches = nd.branches
-        weight = nd.surprise_weight
-        if not branches or not isfinite(weight) or weight < 0.0:
-            return None
-        total = num = 0.0
-        inner = 0  # branches whose child is not a terminal
-        for br in branches:
+    count, deepest, lift = 1, -1, 0  # node k's depth is k + lift
+    stack, nd = [], node  # the resume points; the node to enter next
+    if not isinstance(node, Internal):  # check it as the one branch of a node k = -1
+        stack, nd = [((Branch(1.0, node),), -1, -1, 0.0, 0.0, 0)], None
+    while True:
+        if nd is not None:
+            k = len(nodes)
+            nodes.append(nd)
+            branches, weight = nd.branches, nd.surprise_weight
+            if not branches:
+                raise ValidationError(f"{_where(nodes, leads, k)}: internal node needs at least one branch")
+            if not isfinite(weight) or weight < 0.0:
+                raise ValidationError(f"{_where(nodes, leads, k)}: surprise_weight must be finite "
+                                      f"and >= 0, got {weight!r}")
+            count += len(branches)
+            todo, i, fresh = branches, -1, True
+            total = num = 0.0
+        elif stack:
+            branches, k, i, total, num, lift = stack.pop()
+            todo, fresh = branches[i + 1:], False
+        else:
+            break
+        for br in todo:
+            i += 1
             p = br.probability
             if not 0.0 < p <= 1.0:  # also rejects nan and inf
-                return None
+                raise ValidationError(
+                    f"{_where(nodes, leads, k, i)}: probability must lie in (0, 1], got {p!r}")
             total += p
             child = br.child
-            if type(child) is Terminal:
+            cls = type(child)  # exact types first; a subclass takes isinstance
+            if cls is Terminal or cls is not Internal and isinstance(child, Terminal):
                 payoff = child.payoff
-                if not isfinite(payoff):
-                    return None
                 if payoff <= lo:
                     lo = payoff
                 if payoff >= hi:
                     hi = payoff
-                num += p * payoff
-            else:
-                inner += 1
-        last = branches[-1]
-        if type(last.child) is not Terminal:
-            inner -= 1  # the one branch that may lead on
-        if inner or abs(total - 1.0) > PROBABILITY_SUM_TOL:
-            return None
-        if total != 1.0:
-            renormalized.append(len(nodes))
-        count += len(branches)
-        nodes.append(nd)
-        totals.append(total)
-        survivals.append(last.probability / total)
-        weights.append(weight)
-        sums.append(num)
-        nd = last.child
-    if type(nd) is not Terminal:
-        return None
-    value = nd.payoff
-    table: dict[int, float] = {}
-    values = [value] * (len(nodes) + 1)
-    if not nodes:  # a bare payoff
-        if not isfinite(value):
-            return None
-        lo = hi = value
-    else:
-        # the bottom node's sum already holds its last branch, a terminal
-        value = values[-2] = table[id(nodes[-1])] = sums[-1] / totals[-1]
-        for k in range(len(nodes) - 2, -1, -1):
-            nd = nodes[k]
-            value = (sums[k] + nd.branches[-1].probability * value) / totals[k]
-            values[k] = table[id(nd)] = value
-    paths = ["root" + "".join(f".branches[{len(nodes[j].branches) - 1}]" for j in range(k))
-             for k in renormalized] if renormalized else []
-    return ValidationReport(count, len(nodes), paths, lo, hi, value, table,
-                            (nodes, totals, survivals, weights, values))
-
-
-def _walk(node: ResolutionNode) -> ValidationReport:
-    """validate's explicit-stack post-order walk, for any tree."""
-    report = ValidationReport()
-    values = report.conditional_values
-    count = max_depth = 0
-    lo, hi = inf, -inf
-    # (node, depth, branch index in its parent, post-visit?)
-    stack: list = [(node, 0, -1, False)]
-    push, pop = stack.append, stack.pop
-    while stack:
-        nd, depth, index, post = pop()
-        if post:
+                num += p * payoff  # a non-finite payoff leaves it non-finite
+            elif cls is not Internal and not isinstance(child, Internal):
+                num = nan  # not a node: named with the payoffs, below
+            elif i < len(branches) - 1:  # leads on off the last branch
+                if fresh:
+                    totals.append(0.0)
+                    sums.append(None)
+                stack.append((branches, k, i, total, num, lift))
+                leads[len(nodes)] = (k, i)
+                lift += k + 1 - len(nodes)
+                nd = child
+                break
+        else:
+            if abs(total - 1.0) > PROBABILITY_SUM_TOL:
+                raise ValidationError(f"{_where(nodes, leads, k)}: branch probabilities sum to "
+                                      f"{total!r}, expected 1 within {PROBABILITY_SUM_TOL}")
+            if total != 1.0:
+                renormalized.append(k)
+            if not isfinite(num):  # a non-finite payoff or a non-node, or an overflow
+                for j, bad in enumerate(br.child for br in branches):
+                    if not isinstance(bad, (Terminal, Internal)):
+                        raise ValidationError(f"{_where(nodes, leads, k, j)}: not a resolution node: {bad!r}")
+                    if isinstance(bad, Terminal) and not isfinite(bad.payoff):
+                        raise ValidationError(
+                            f"{_where(nodes, leads, k, j)}: payoff must be finite, got {bad.payoff!r}")
+            nd = None
+            if cls is Internal or cls is not Terminal and isinstance(child, Internal):
+                if not fresh:  # not met right after node k
+                    leads[len(nodes)] = (k, i)
+                    lift += k + 1 - len(nodes)
+                nd = child  # the step down the last branch
+            elif k + lift > deepest:
+                deepest = k + lift
+            if fresh:
+                totals.append(total)
+                sums.append(num)
+                survivals.append(p / total)
+                weights.append(weight)
+    table: dict[int, float] = {}  # back up, value running up each run of steps
+    n = len(nodes)
+    value = nodes[-1].branches[-1].child.payoff if n else node.payoff
+    values, below = [value] * (n + 1), None
+    for k in range(n - 1, -1, -1):
+        nd, num = nodes[k], sums[k]
+        if num is None:  # it pushed: the full sum in branch order
             num = total = 0.0
             for br in nd.branches:
-                child = br.child
-                p = br.probability
-                num += p * (child.payoff if isinstance(child, Terminal) else values[id(child)])
+                child, p = br.child, br.probability
+                num += p * (child.payoff if isinstance(child, Terminal) else table[id(child)])
                 total += p
-            values[id(nd)] = num / total
-            continue
-        count += 1
-        if depth > max_depth:
-            max_depth = depth
-        if isinstance(nd, Terminal):
-            payoff = nd.payoff
-            if not isfinite(payoff):
-                raise ValidationError(f"{_path(stack, index)}: payoff must be finite, got {payoff!r}")
-            if payoff < lo:
-                lo = payoff
-            if payoff > hi:
-                hi = payoff
-            continue
-        if not isinstance(nd, Internal):
-            raise ValidationError(f"{_path(stack, index)}: not a resolution node: {nd!r}")
-        branches = nd.branches
-        if not branches:
-            raise ValidationError(f"{_path(stack, index)}: internal node needs at least one branch")
-        weight = nd.surprise_weight
-        if not isfinite(weight) or weight < 0.0:
-            raise ValidationError(
-                f"{_path(stack, index)}: surprise_weight must be finite and >= 0, got {weight!r}"
-            )
-        # the node's post-visit entry first, so it is popped after its children
-        push((nd, depth, index, True))
-        depth += 1
-        total = 0.0
-        for i, br in enumerate(branches):
-            p = br.probability
-            if not 0.0 < p <= 1.0:  # also rejects nan and inf
-                raise ValidationError(f"{_path(stack, i)}: probability must lie in (0, 1], got {p!r}")
-            total += p
-            push((br.child, depth, i, False))
-        if abs(total - 1.0) > PROBABILITY_SUM_TOL:
-            raise ValidationError(
-                f"{_path(stack)}: branch probabilities sum to {total!r}, expected 1 "
-                f"within {PROBABILITY_SUM_TOL}"
-            )
-        if total != 1.0:
-            report.renormalized.append(_path(stack))
-    report.node_count = count
-    report.max_depth = max_depth
-    report.payoff_min, report.payoff_max = lo, hi
-    report.expected_value = node.payoff if isinstance(node, Terminal) else values[id(node)]
-    return report
+        else:  # its terminals' sum, and its last branch's value if it stepped to node k + 1
+            total, br = totals[k], nd.branches[-1]
+            if br.child is below:
+                num += br.probability * value
+        value = values[k] = table[id(nd)] = num / total
+        below = nd
+    paths = renormalized and [_where(nodes, leads, k) for k in sorted(  # as the last branch first
+        renormalized, key=lambda k: [-i for i in _trail(nodes, leads, k)])]
+    return ValidationReport(count, deepest + 1, paths, lo, hi, value, table,
+                            None if leads else (nodes, totals, survivals, weights, values))
+
+
+def _trail(nodes: list[Internal], leads: dict[int, tuple[int, int]], k: int) -> list[int]:
+    """The branch indices from the root down to node k of validate's walk."""
+    trail: list[int] = []
+    while k > 0:
+        k, i = leads[k] if k in leads else (k - 1, len(nodes[k - 1].branches) - 1)
+        trail.append(i)
+    return trail[::-1]
+
+
+def _where(nodes: list[Internal], leads: dict[int, tuple[int, int]], k: int, *indices: int) -> str:
+    """Path of node k of validate's walk, then through indices; k = -1 is above the root."""
+    trail = _trail(nodes, leads, k) + list(indices) if k >= 0 else []
+    return "root" + "".join(f".branches[{i}]" for i in trail)
 
 
 def expected_value(node: ResolutionNode) -> float:

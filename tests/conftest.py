@@ -123,9 +123,12 @@ def _path(stack: list, *indices: int) -> str:
 
 
 def walk_report(node) -> ValidationReport:
-    """``tree.validate``'s explicit-stack post-order walk, verbatim: the
-    oracle of validate's report on any valid tree and of its error on a
-    tree with one fault.  It pops a node's last branch first."""
+    """The explicit-stack post-order walk that ``tree.validate`` ran for
+    any tree off its spine lane, verbatim: the oracle of validate's report
+    on any valid tree and of its error on a tree with one fault.  It pops
+    a node's last branch first, so it meets terminals in the reverse of
+    validate's order and keeps the first of equal payoffs (``<``, ``>``)
+    where validate keeps the last."""
     report = ValidationReport()
     values = report.conditional_values
     count = max_depth = 0
@@ -188,3 +191,37 @@ def walk_report(node) -> ValidationReport:
     report.payoff_min, report.payoff_max = lo, hi
     report.expected_value = node.payoff if isinstance(node, Terminal) else values[id(node)]
     return report
+
+
+def first_fault(node, path: str = "root"):
+    """The message of the first fault ``tree.validate`` meets in node, or
+    None for a valid tree.  A node's own checks come first: its branches,
+    its weight, then each branch's probability in order, except that a
+    branch other than the last that leads to an internal node has its
+    subtree checked when the loop reaches it; then its probability sum;
+    then its terminal and non-node children in branch order; then the
+    subtree down its last branch."""
+    if isinstance(node, Terminal):
+        return None if isfinite(node.payoff) else f"{path}: payoff must be finite, got {node.payoff!r}"
+    if not isinstance(node, Internal):
+        return f"{path}: not a resolution node: {node!r}"
+    if not node.branches:
+        return f"{path}: internal node needs at least one branch"
+    if not isfinite(node.surprise_weight) or node.surprise_weight < 0.0:
+        return f"{path}: surprise_weight must be finite and >= 0, got {node.surprise_weight!r}"
+    total, later = 0.0, []
+    for i, br in enumerate(node.branches):
+        where = f"{path}.branches[{i}]"
+        if not 0.0 < br.probability <= 1.0:
+            return f"{where}: probability must lie in (0, 1], got {br.probability!r}"
+        total += br.probability
+        if isinstance(br.child, Internal) and i < len(node.branches) - 1:
+            fault = first_fault(br.child, where)
+            if fault is not None:
+                return fault
+        else:
+            later.append((br.child, where))
+    if abs(total - 1.0) > PROBABILITY_SUM_TOL:
+        return (f"{path}: branch probabilities sum to {total!r}, expected 1 "
+                f"within {PROBABILITY_SUM_TOL}")
+    return next(filter(None, (first_fault(child, where) for child, where in later)), None)

@@ -224,6 +224,17 @@ class TestEval:
         code, out, err = run(capsys, ["eval", "--scheme", f"tree:{path}"])
         assert (code, out, err) == (2, "", "error: root: payoff must be finite, got inf\n")
 
+    def test_tree_file_with_two_faults_names_the_first_met(self, capsys, tmp_path):
+        # the walk goes depth first in branch order: branch 0's subtree comes
+        # before the payoff of branch 2
+        path = tmp_path / "two-faults.json"
+        path.write_text('{"branches": [{"p": 0.5, "node": {"branches": [{"p": 1.5, "node": '
+                        '{"payoff": 1}}]}}, {"p": 0.25, "node": {"payoff": 0}}, '
+                        '{"p": 0.25, "node": {"payoff": 1e400}}]}')
+        code, out, err = run(capsys, ["eval", "--scheme", f"tree:{path}"])
+        assert (code, out, err) == (
+            2, "", "error: root.branches[0].branches[0]: probability must lie in (0, 1], got 1.5\n")
+
     @pytest.mark.parametrize(
         "text,message",
         [

@@ -26,10 +26,11 @@ from anticipated_surprise import (Branch, DualRiskSpec, DualScheme, HazardSpec, 
                                   ValidationError, discount_factor, discount_ratio, dual_surprise,
                                   evaluate, mean_delay, prob_only_surprise, timing_components,
                                   timing_ratio, utility, validate)
-from anticipated_surprise.cli import SCHEMES, SchemePoint, evaluate_point, sweep_rows, whole
+from anticipated_surprise.cli import (SCHEMES, SchemePoint, evaluate_grid, evaluate_point,
+                                      sweep_rows, whole)
 from anticipated_surprise.scaling import parse_scaling_mode
 from anticipated_surprise.tree import _result, _sum
-from conftest import NESTING, level_walk_result, result_bits, walk_report
+from conftest import NESTING, first_fault, level_walk_result, result_bits, walk_report
 from test_closed_form_bits import bits
 
 hypothesis = pytest.importorskip("hypothesis")
@@ -212,6 +213,27 @@ def test_n_sweep_is_its_rows_one_by_one(name, mode):
     check()
 
 
+# --- why acceptance criterion 5 is red -------------------------------------
+
+
+@hypothesis.settings(max_examples=150, derandomize=True, database=None, deadline=None)
+@hypothesis.given(st.floats(1e-2, 0.5), st.floats(1e-2, 2.0),
+                  st.floats(1.0, 10.0, exclude_min=True))
+def test_hazard_surprise_peaks_at_n_star(p, alpha_less_1, k):
+    """Over n, |D| of a hazard chain peaks at n* = ln a / ((a - 1) (-ln(1 - p)))
+    rounded down or up (1 at least), whatever k: |D| depends on n only
+    through q**n - q**(n a), which peaks there.  n* < 1 / (-ln q) for every
+    a > 1, 32.8 at p = 0.03, so |D| cannot rise all the way to n = 50."""
+    alpha = 1.0 + alpha_less_1
+    n_star = math.log(alpha) / ((alpha - 1.0) * -math.log(1.0 - p))
+    grid = [float(n) for n in range(1, int(2 * n_star) + 4)]
+    rows = evaluate_grid(SchemePoint("hazard", p=p), "n", grid, ModelParams(k=k, alpha=alpha),
+                         NoScaling())
+    mags = [abs(delta) for _, (_, delta, _) in rows]
+    peak = mags.index(max(mags)) + 1
+    assert peak in {max(1, math.floor(n_star)), max(1, math.ceil(n_star))}, (n_star, peak)
+
+
 # --- the spine lane of tree.validate ---------------------------------------
 
 #: Payoffs of both zero signs and of both signs.
@@ -287,10 +309,13 @@ def outcome(validate_fn, node):
 @hypothesis.given(spine_trees(), st.sampled_from([(1.0, 0.0), (0.37, 0.25), (3.0, -1.0)]))
 def test_spine_lane_gives_the_walks_report_or_error(case, transform):
     """validate gives the explicit-stack walk's report, field for field, or
-    raises its message; on a valid spine its path is the tree's path of last
-    branches, and _result gives the level walk's bits from it."""
+    raises its message; with faults in two places it raises the first that
+    first_fault names.  On a valid spine its path is the tree's path of
+    last branches, and _result gives the level walk's bits from it."""
     tree, faults = case
     want = outcome(walk_report, tree)
+    if len([f for f in faults if f != "bushy"]) > 1:
+        want = f"ValidationError: {first_fault(tree)}"
     assert outcome(validate, tree) == want, faults
     if isinstance(want, str):
         return
@@ -357,15 +382,16 @@ def bushy_trees(draw, min_faults: int = 0, max_faults: int = 1):
     """(tree, faults): a tree of depth up to 8 with 1 to 4 branches a node,
     any of which may lead on; payoffs with ties and both zero signs;
     probability sums off from 1 by up to 5e-13 at some nodes; weights 0, 1
-    and others; one subtree shared by two branches and one node of a
-    subclass, where the shape allows; and min_faults to max_faults faults
-    drawn from NODE_FAULTS, each at a drawn place outside the shared subtree."""
+    and others; one subtree shared by two branches, one internal node and
+    some terminals of a subclass, where the shape allows; and min_faults
+    to max_faults faults drawn from NODE_FAULTS, each at a drawn place
+    outside the shared subtree."""
     nodes = []  # the internal nodes, pre-order: [weight, [[p, child] ...], subclass?]
     budget = [draw(st.integers(0, 40))]  # internal nodes still to grow
 
     def grow(depth: int):
         if depth == 7 or budget[0] <= 0 or draw(st.integers(0, 3)) == 0:
-            return Terminal(draw(TIED_PAYOFFS))
+            return (SubTerminal if draw(st.integers(0, 9)) == 0 else Terminal)(draw(TIED_PAYOFFS))
         budget[0] -= 1
         raw = draw(st.lists(st.floats(0.05, 1.0), min_size=1, max_size=4))
         probs = [x / _sum(raw) for x in raw]
@@ -412,6 +438,24 @@ def bushy_trees(draw, min_faults: int = 0, max_faults: int = 1):
 def test_validate_gives_the_walks_report_or_error_on_any_tree(case):
     """On a valid tree of any shape, or one with a single fault anywhere
     (inside a subtree off the last branch too), validate gives the stack
-    walk's report, field for field with floats as hex, or its message."""
+    walk's report, field for field with floats as hex, or its message;
+    first_fault names that message too."""
     tree, faults = case
-    assert outcome(validate, tree) == outcome(walk_report, tree), faults
+    want = outcome(walk_report, tree)
+    assert outcome(validate, tree) == want, faults
+    assert isinstance(want, tuple) == (first_fault(tree) is None), faults
+    if isinstance(want, str):
+        assert want == f"ValidationError: {first_fault(tree)}", faults
+
+
+@hypothesis.settings(max_examples=300, derandomize=True, database=None, deadline=None)
+@hypothesis.given(bushy_trees(2, 3))
+def test_validate_raises_the_first_fault_met(case):
+    """With faults in two or three places, validate raises the first one
+    met depth first in branch order, as first_fault names it."""
+    tree, faults = case
+    want = first_fault(tree)
+    if want is None:  # the faults fell on no place
+        assert outcome(validate, tree) == outcome(walk_report, tree), faults
+    else:
+        assert outcome(validate, tree) == f"ValidationError: {want}", faults

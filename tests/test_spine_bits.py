@@ -10,7 +10,9 @@ weights 0 and 2.5 and payoffs of both zero signs; a bare payoff and a
 one-level gamble; and one-shot rows of 400-level hazard chains at four
 p values of the deep-sweep p-grid.  The ``dual-a-before`` cases were
 pinned when its gate listed its chain first, so that the tree took the
-stack walk and the level walk; the same bits hold with the chain last.  Each case
+stack walk (``conftest.walk_report`` now) and the level walk; the same
+bits hold with the chain last, and under the one validation walk that
+replaced the spine lane and the stack walk.  Each case
 records the report's counts, payoff range (zero's sign included),
 renormalized paths and expected value, and the evaluation's transform,
 expected value, total surprise, utilities and a digest of its stage

@@ -135,6 +135,22 @@ class TestDepth:
         want = discount_factor(HazardSpec(0.03, 20_000), params)
         assert math.isclose(evaluate(chain, params).utility, want, rel_tol=1e-9)
 
+    def test_deep_side_branches_give_the_walks_report(self):
+        """5,000 levels that each leave a resume point or a side gamble on
+        the walk's way: no RecursionError, and the stack walk's report."""
+        comb = Terminal(1.0)  # the path goes down branch 0; the last branch is a terminal
+        side = Terminal(-0.5)  # a two-leaf gamble in a non-last branch at every level
+        for level in range(5_000):
+            comb = Internal((Branch(0.6, comb), Branch(0.4, Terminal(float(level % 3)))))
+            side = Internal((Branch(0.2, Terminal(-1.0)), Branch(0.3, gamble(2.0, -0.0, 0.5)),
+                             Branch(0.5, side)))
+        for tree in (comb, side):
+            want, got = walk_report(tree), validate(tree)
+            assert got == want and got.max_depth == want.max_depth == 5_000 + (tree is side)
+            assert got.conditional_values == want.conditional_values and got.spine is None
+            assert [got.payoff_min.hex(), got.payoff_max.hex()] == [want.payoff_min.hex(),
+                                                                  want.payoff_max.hex()]
+
     @staticmethod
     def deep_trees():
         from anticipated_surprise import TimingRiskSpec, build_hazard_chain, build_timing_risk
