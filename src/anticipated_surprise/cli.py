@@ -251,7 +251,8 @@ def _spine_point(spine: Spine, i: int, transform: AffineTransform) -> tuple[floa
     """evaluate_point's triple for the tree at path node i of spine, whose
     scale is transform's.  Its stage surprises die here, not at the next row."""
     scaled = spine.result(i, transform.offset)
-    return spine.values[i], scaled.total_surprise, transform.invert_utility(scaled.utility)
+    return (spine.table[id(spine.nodes[i])], scaled.total_surprise,
+            transform.invert_utility(scaled.utility))
 
 
 def _subnormal(values: dict[str, float]) -> str | None:

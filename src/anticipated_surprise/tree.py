@@ -75,12 +75,12 @@ class ValidationReport:
 
     If the walk never pushed, the tree is a spine (every built-in scheme's
     is): its internal nodes all lie on the path of last branches, and
-    ``spine`` holds that path as five lists: its internal nodes, root
+    ``spine`` holds that path as four lists: its internal nodes, root
     first; each one's total, its branch probabilities summed from 0.0 in
-    order; its survival, the last probability over that total; its surprise
-    weight; and each node's conditional expected value, the bottom payoff
-    last.  ``_result`` and a ``Spine`` evaluate it in ``_stages``' float
-    loop.  For any other tree it is None: evaluation walks it level by level.
+    order; its survival, the last probability over that total; and its
+    surprise weight.  ``_result`` and a ``Spine`` evaluate it in
+    ``_stages``' float loop.  For any other tree it is None: evaluation
+    walks it depth first in ``_stage_surprises``.
     """
 
     node_count: int = 0
@@ -92,7 +92,7 @@ class ValidationReport:
     conditional_values: dict[int, float] = field(
         default_factory=dict, repr=False, compare=False
     )
-    spine: tuple[list[Internal], list[float], list[float], list[float], list[float]] | None = (
+    spine: tuple[list[Internal], list[float], list[float], list[float]] | None = (
         field(default=None, repr=False, compare=False))
 
 
@@ -116,7 +116,7 @@ def validate(node: ResolutionNode) -> ValidationReport:
     then come its sum check, its first non-finite payoff or non-node child
     and the step down its last branch.  A node's value is sum(p * child
     value) / sum(p) over its branches in order.  Raises ValidationError
-    naming the path of the first fault met.
+    naming the first fault met, or the deepest node whose value overflows.
     """
     nodes, totals, sums, survivals, weights = [], [], [], [], []  # of the internal nodes met
     leads: dict[int, tuple[int, int]] = {}  # node k not met right after its parent: (parent, index)
@@ -199,8 +199,7 @@ def validate(node: ResolutionNode) -> ValidationReport:
                 weights.append(weight)
     table: dict[int, float] = {}  # back up, value running up each run of steps
     n = len(nodes)
-    value = nodes[-1].branches[-1].child.payoff if n else node.payoff
-    values, below = [value] * (n + 1), None
+    value, below = nodes[-1].branches[-1].child.payoff if n else node.payoff, None
     for k in range(n - 1, -1, -1):
         nd, num = nodes[k], sums[k]
         if num is None:  # it pushed: the full sum in branch order
@@ -213,12 +212,18 @@ def validate(node: ResolutionNode) -> ValidationReport:
             total, br = totals[k], nd.branches[-1]
             if br.child is below:
                 num += br.probability * value
-        value = values[k] = table[id(nd)] = num / total
+        value = table[id(nd)] = num / total
         below = nd
+    if not isfinite(value):  # a sum of finite terms overflowed: name the deepest node it reached
+        depths = [0] * n
+        for k in range(1, n):
+            depths[k] = depths[leads[k][0] if k in leads else k - 1] + 1
+        k = max((k for k in range(n) if not isfinite(table[id(nodes[k])])), key=depths.__getitem__)
+        raise ValidationError(f"{_where(nodes, leads, k)}: expected value overflows the float range")
     paths = renormalized and [_where(nodes, leads, k) for k in sorted(  # as the last branch first
         renormalized, key=lambda k: [-i for i in _trail(nodes, leads, k)])]
     return ValidationReport(count, deepest + 1, paths, lo, hi, value, table,
-                            None if leads else (nodes, totals, survivals, weights, values))
+                            None if leads else (nodes, totals, survivals, weights))
 
 
 def _trail(nodes: list[Internal], leads: dict[int, tuple[int, int]], k: int) -> list[int]:
@@ -257,29 +262,29 @@ def stage_surprises(node: ResolutionNode, params: ModelParams) -> list[float]:
 def _stage_surprises(
     node: ResolutionNode, values: dict[int, float], params: ModelParams, scale: float = 1.0
 ) -> list[float]:
-    """The level-order surprise pass over a validated tree; ``values`` is
-    its walk's table of conditional expected values.  Each jump is divided
-    by ``scale``, which evaluates the tree with payoffs divided by it."""
+    """The surprise pass over a validated tree; ``values`` is its walk's
+    table of conditional expected values.  Each jump is divided by
+    ``scale``, which evaluates the tree with payoffs divided by it.
+
+    One explicit-stack loop over the internal nodes, depth first in branch
+    order: stage t adds reach * weight * jump of each node at depth t to
+    0.0 in the order met, which at one depth is the level order, so each
+    stage is the level-by-level sum, bit for bit.  A kernel error is the
+    first met in this order."""
     out: list[float] = []
-    level: list[tuple[ResolutionNode, float]] = [(node, 1.0)]
-    while level:
-        nxt: list[tuple[ResolutionNode, float]] = []
-        stage_total = 0.0
-        saw_internal = False
-        for nd, reach in level:
-            if isinstance(nd, Terminal):
-                continue
-            saw_internal = True
-            # the node's total: its branch probabilities summed from 0.0 in order
-            total = 0.0
-            for br in nd.branches:
-                total += br.probability
-            for br in nd.branches:
-                nxt.append((br.child, reach * (br.probability / total)))
-            stage_total += reach * nd.surprise_weight * _jump(nd, total, values, params, scale)
-        if saw_internal:
-            out.append(stage_total)
-        level = nxt
+    stack = [] if isinstance(node, Terminal) else [(node, 1.0, 0)]
+    while stack:
+        nd, reach, depth = stack.pop()
+        # the node's total: its branch probabilities summed from 0.0 in order
+        total = 0.0
+        for br in nd.branches:
+            total += br.probability
+        if depth == len(out):
+            out.append(0.0)
+        out[depth] += reach * nd.surprise_weight * _jump(nd, total, values, params, scale)
+        for br in reversed(nd.branches):
+            if not isinstance(br.child, Terminal):
+                stack.append((br.child, reach * (br.probability / total), depth + 1))
     return out
 
 
@@ -310,14 +315,14 @@ def _result(node: ResolutionNode, report: ValidationReport, params: ModelParams,
     x read as (x - offset) / scale.  Conditional values map the same way,
     so the offset cancels in each jump and the jumps are divided by scale;
     the identity (1, 0) leaves every float as it is.  A spine-shaped tree
-    is evaluated down its path in ``_stages``' float loop, any other level
-    by level: the same floats in the same order."""
+    is evaluated down its path in ``_stages``' float loop, any other depth
+    first in ``_stage_surprises``: the same floats in the same order."""
     table = report.conditional_values
     u0 = (report.expected_value - offset) / scale
     if report.spine is None:
         surprises = _stage_surprises(node, table, params, scale)
         return _finished(surprises, _sum(surprises), u0, params)
-    nodes, totals, survivals, weights, _ = report.spine
+    nodes, totals, survivals, weights = report.spine
     jumps = []
     for nd, total in zip(nodes, totals):
         jumps.append(_jump(nd, total, table, params, scale))
@@ -327,7 +332,7 @@ def _result(node: ResolutionNode, report: ValidationReport, params: ModelParams,
 def _stages(jumps: list[float], weights: list[float], survivals: list[float], i: int,
             u0: float, params: ModelParams) -> EvaluationResult:
     """The result of the subtree at node i of a spine's path, u0 its (mapped) expected value:
-    jumps, the path nodes' kernel jumps, turn in place into the level walk's stage surprises,
+    jumps, the path nodes' kernel jumps, turn in place into ``_stage_surprises``' stages,
     0.0 + reach * w * jump with reach from 1.0 times each survival; those above i are dropped."""
     reach, total = 1.0, 0.0  # total: _sum's, in the same loop
     for k in range(i, len(jumps)):
@@ -353,11 +358,12 @@ class Spine:
 
     Each path node's kernel jump is computed once, top-down as the rows
     first reach it, so a kernel error is the one that the row, evaluated
-    alone, meets.
+    alone, meets.  A path node's expected value is read from the report's
+    ``conditional_values``.
     """
 
     def __init__(self, report: ValidationReport, params: ModelParams, scale: float) -> None:
-        self.nodes, self.totals, self.survivals, self.weights, self.values = report.spine
+        self.nodes, self.totals, self.survivals, self.weights = report.spine
         self.table, self.params, self.scale = report.conditional_values, params, scale
         self.jumps = [0.0] * len(self.nodes)
         self._computed = len(self.nodes)  # jumps[_computed:] hold their values
@@ -371,7 +377,7 @@ class Spine:
                 jumps[k] = _jump(self.nodes[k], self.totals[k], self.table, self.params, self.scale)
             self._computed = i
         return _stages(jumps.copy(), self.weights, self.survivals, i,
-                       (self.values[i] - offset) / self.scale, self.params)
+                       (self.table[id(self.nodes[i])] - offset) / self.scale, self.params)
 
 
 def _sum(values: Iterable[float]) -> float:
@@ -423,15 +429,10 @@ def tree_from_dict(obj: object, path: str = "root") -> ResolutionNode:
     if "payoff" in obj:
         if "branches" in obj:
             raise ValidationError(f"{path}: node cannot have both payoff and branches")
-        payoff = obj["payoff"]
-        if not isinstance(payoff, (int, float)) or isinstance(payoff, bool):
-            raise ValidationError(f"{path}: payoff must be a number, got {payoff!r}")
+        payoff = _number(obj["payoff"], "payoff", path)
         if len(obj) != 1:
             raise _unknown_keys(obj, ("payoff",), path)
-        try:
-            return Terminal(float(payoff))
-        except OverflowError:  # an int no float holds; too long, maybe, to repr
-            raise ValidationError(f"{path}: payoff is an integer past the float range") from None
+        return Terminal(payoff)
     if "branches" not in obj:
         raise ValidationError(f"{path}: node needs either 'payoff' or 'branches'")
     raw = obj["branches"]
@@ -444,23 +445,21 @@ def tree_from_dict(obj: object, path: str = "root") -> ResolutionNode:
         where = f"{path}.branches[{i}]"
         if not isinstance(entry, dict) or "p" not in entry or "node" not in entry:
             raise ValidationError(f"{where}: expected an object with 'p' and 'node'")
-        prob = entry["p"]
-        if not isinstance(prob, (int, float)) or isinstance(prob, bool):
-            raise ValidationError(f"{where}: 'p' must be a number, got {prob!r}")
+        prob = _number(entry["p"], "'p'", where)
         if len(entry) != 2:
             raise _unknown_keys(entry, ("p", "node"), where)
-        try:
-            prob = float(prob)
-        except OverflowError:
-            raise ValidationError(f"{where}: 'p' is an integer past the float range") from None
         branches.append(Branch(prob, tree_from_dict(entry["node"], where)))
-    weight = obj.get("weight", 1.0)
-    if not isinstance(weight, (int, float)) or isinstance(weight, bool):
-        raise ValidationError(f"{path}: 'weight' must be a number, got {weight!r}")
+    return Internal(tuple(branches), _number(obj.get("weight", 1.0), "'weight'", path))
+
+
+def _number(value: object, name: str, path: str) -> float:
+    """value, a JSON number, as a float; name says what it is at path."""
+    if not isinstance(value, (int, float)) or isinstance(value, bool):
+        raise ValidationError(f"{path}: {name} must be a number, got {value!r}")
     try:
-        return Internal(tuple(branches), float(weight))
-    except OverflowError:
-        raise ValidationError(f"{path}: 'weight' is an integer past the float range") from None
+        return float(value)
+    except OverflowError:  # an int no float holds; too long, maybe, to repr
+        raise ValidationError(f"{path}: {name} is an integer past the float range") from None
 
 
 def _unknown_keys(obj: dict, allowed: tuple[str, ...], path: str) -> ValidationError:

@@ -5,7 +5,8 @@ them without pytest).
 whole root-to-leaf trajectories and averages the kernel over them, per
 the definition, instead of grouping by node and level like the library
 does.  Agreement between the two routes is what the tree tests check.
-``walk_report`` is the oracle of ``tree.validate``'s report.
+``walk_report`` is the oracle of ``tree.validate``'s report, and
+``level_walk`` that of ``tree._stage_surprises``' stages.
 """
 
 from __future__ import annotations
@@ -17,7 +18,8 @@ from anticipated_surprise import (Branch, Internal, ModelParams, Terminal, Valid
                                   ValidationReport, surprise_kernel)
 from anticipated_surprise.cli import SchemePoint
 # _sum: left to right, so that a seed gives the same trees on every interpreter
-from anticipated_surprise.tree import PROBABILITY_SUM_TOL, _finished, _stage_surprises, _sum
+from anticipated_surprise.tree import (PROBABILITY_SUM_TOL, ResolutionNode, _finished, _jump,
+                                       _sum)
 
 #: A point of each scheme whose trees nest in n, all but n fixed.
 NESTING = {
@@ -27,11 +29,42 @@ NESTING = {
 }
 
 
+def level_walk(
+    node: ResolutionNode, values: dict[int, float], params: ModelParams, scale: float = 1.0
+) -> list[float]:
+    """The level-order surprise pass that ``tree._stage_surprises`` ran
+    before it walked depth first, verbatim: the oracle of its stages, bit
+    for bit.  ``values`` is the tree's table of conditional expected values;
+    each jump is divided by ``scale``."""
+    out: list[float] = []
+    level: list[tuple[ResolutionNode, float]] = [(node, 1.0)]
+    while level:
+        nxt: list[tuple[ResolutionNode, float]] = []
+        stage_total = 0.0
+        saw_internal = False
+        for nd, reach in level:
+            if isinstance(nd, Terminal):
+                continue
+            saw_internal = True
+            # the node's total: its branch probabilities summed from 0.0 in order
+            total = 0.0
+            for br in nd.branches:
+                total += br.probability
+            for br in nd.branches:
+                nxt.append((br.child, reach * (br.probability / total)))
+            stage_total += reach * nd.surprise_weight * _jump(nd, total, values, params, scale)
+        if saw_internal:
+            out.append(stage_total)
+        level = nxt
+    return out
+
+
 def level_walk_result(node, report, params: ModelParams, scale: float = 1.0,
                       offset: float = 0.0):
     """``tree._result`` by the level walk, whatever the tree's shape: the
-    reference that the flat loop over a spine's path must match bit for bit."""
-    surprises = _stage_surprises(node, report.conditional_values, params, scale)
+    reference that the flat loop over a spine's path and the depth-first
+    pass over any other tree must match bit for bit."""
+    surprises = level_walk(node, report.conditional_values, params, scale)
     return _finished(surprises, _sum(surprises), (report.expected_value - offset) / scale, params)
 
 

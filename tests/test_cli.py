@@ -8,7 +8,7 @@ from pathlib import Path
 import pytest
 
 from anticipated_surprise import (Internal, ModelParams, Terminal, ValidationError,
-                                  build_binary_gamble, evaluate, validate)
+                                  build_binary_gamble, evaluate, load_tree, validate)
 from anticipated_surprise.cli import (
     FIGURE_FLAGS,
     FIGURES,
@@ -27,7 +27,7 @@ from anticipated_surprise.cli import (
     sweep_rows,
 )
 from anticipated_surprise.scaling import NoScaling, parse_scaling_mode
-from conftest import NESTING
+from conftest import NESTING, level_walk_result
 
 
 def run(capsys, argv):
@@ -234,6 +234,31 @@ class TestEval:
         code, out, err = run(capsys, ["eval", "--scheme", f"tree:{path}"])
         assert (code, out, err) == (
             2, "", "error: root.branches[0].branches[0]: probability must lie in (0, 1], got 1.5\n")
+
+    @pytest.mark.parametrize("mode", ["none", "full"])
+    def test_tree_file_whose_expected_value_overflows_names_the_node(self, capsys, tmp_path, mode):
+        # two finite terms whose sum passes the float range (the root is renormalized)
+        path = tmp_path / "overflow.json"
+        path.write_text('{"branches": [{"p": 0.5, "node": {"payoff": 1.7976931348623157e308}}, '
+                        '{"p": 0.5000000000004, "node": {"payoff": 1.7976931348623157e308}}]}')
+        code, out, err = run(capsys, ["eval", "--scheme", f"tree:{path}", "--scaling", mode])
+        assert (code, out, err) == (
+            2, "", "error: root: expected value overflows the float range\n")
+
+    def test_bushy_tree_file_kernel_error_is_the_first_met_depth_first(self, capsys, tmp_path):
+        # under scale 1e-310 root.branches[0].branches[0]'s jump is +inf and
+        # root.branches[1]'s is -inf; every other jump is 0.  Depth first meets
+        # the deeper node first, where a level walk met root.branches[1] first.
+        path = tmp_path / "bushy.json"
+        gamble = '{"branches": [{"p": 0.5, "node": {"payoff": %s}}, {"p": 0.5, "node": {"payoff": %s}}]}'
+        path.write_text('{"branches": [{"p": 0.5, "node": {"branches": [{"p": 0.5, "node": %s}, '
+                        '{"p": 0.5, "node": {"payoff": 0}}]}}, {"p": 0.5, "node": %s}]}'
+                        % (gamble % (1, -1), gamble % (-1, 1)))
+        code, out, err = run(capsys, ["eval", "--scheme", f"tree:{path}", "--scaling", "scale:1e-310"])
+        assert (code, out, err) == (2, "", "error: expectation error must be finite, got inf\n")
+        tree = load_tree(str(path))
+        with pytest.raises(ValidationError, match="got -inf$"):
+            level_walk_result(tree, validate(tree), ModelParams(), 1e-310)
 
     @pytest.mark.parametrize(
         "text,message",

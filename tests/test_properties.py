@@ -11,7 +11,8 @@ domain, each closed-form ratio must equal, bit for bit, the composition
 of public closed forms that it stands for.  On spine-shaped and bushy
 trees, valid or with one injected fault, ``validate`` must give the stack
 walk's report or error (``conftest.walk_report``), and ``_result`` the
-level walk's bits.  Draws are derandomized, so a run is repeatable.
+level walk's bits (``conftest.level_walk``).  Draws are derandomized, so
+a run is repeatable.
 """
 
 from __future__ import annotations
@@ -323,13 +324,12 @@ def test_spine_lane_gives_the_walks_report_or_error(case, transform):
     assert (report.spine is None) == ("bushy" in faults)
     if report.spine is None:
         return
-    nodes, totals, survivals, weights, values = report.spine
+    nodes, totals, survivals, weights = report.spine
     path, nd = [], tree
     while isinstance(nd, Internal):
         path.append(nd)
         nd = nd.branches[-1].child
     assert [id(x) for x in nodes] == [id(x) for x in path]
-    assert values == [report.conditional_values[id(x)] for x in path] + [nd.payoff]
     assert weights == [x.surprise_weight for x in path]
     assert survivals == [x.branches[-1].probability / t for x, t in zip(path, totals)]
     params, (scale, offset) = ModelParams(k2=10.0), transform
@@ -439,13 +439,19 @@ def test_validate_gives_the_walks_report_or_error_on_any_tree(case):
     """On a valid tree of any shape, or one with a single fault anywhere
     (inside a subtree off the last branch too), validate gives the stack
     walk's report, field for field with floats as hex, or its message;
-    first_fault names that message too."""
+    first_fault names that message too.  On a valid tree, _result gives
+    the level walk's bits."""
     tree, faults = case
     want = outcome(walk_report, tree)
     assert outcome(validate, tree) == want, faults
     assert isinstance(want, tuple) == (first_fault(tree) is None), faults
     if isinstance(want, str):
         assert want == f"ValidationError: {first_fault(tree)}", faults
+        return
+    report = validate(tree)
+    for params, scale, offset in [(ModelParams(), 1.0, 0.0), (ModelParams(k=5.0, alpha=2.2), 0.37, 0.25)]:
+        got = _result(tree, report, params, scale, offset)
+        assert result_bits(got) == result_bits(level_walk_result(tree, report, params, scale, offset))
 
 
 @hypothesis.settings(max_examples=300, derandomize=True, database=None, deadline=None)

@@ -20,7 +20,7 @@ from anticipated_surprise import (
     validate,
 )
 from anticipated_surprise.scaling import NoScaling, parse_scaling_mode, scaled_evaluation
-from anticipated_surprise.tree import Spine
+from anticipated_surprise.tree import Spine, _result
 from conftest import (level_walk_result, random_tree, result_bits, trajectory_stage_surprises,
                       walk_report)
 
@@ -106,6 +106,21 @@ class TestValidation:
                                                   r"\.branches\[1\]: payoff"):
             validate(broken)
 
+    def test_overflowing_expected_value_names_the_deepest_node(self):
+        def over():  # 0.5 * max + 0.5000000000004 * max passes the float range
+            return Internal((Branch(0.5, Terminal(1.7976931348623157e308)),
+                             Branch(0.5000000000004, Terminal(1.7976931348623157e308))))
+
+        with pytest.raises(ValidationError, match="^root: expected value overflows the float range$"):
+            validate(over())
+        # the root and root.branches[0] overflow too, and so does the later,
+        # shallower root.branches[1]
+        tree = Internal((Branch(0.5, Internal((Branch(0.5, Terminal(0.0)), Branch(0.5, over())))),
+                         Branch(0.5, over())))
+        with pytest.raises(ValidationError, match=r"^root\.branches\[0\]\.branches\[1\]: expected "
+                                                  "value overflows the float range$"):
+            validate(tree)
+
     def test_beyond_tolerance_rejected(self):
         node = Internal((Branch(0.5, Terminal(1.0)), Branch(0.5 + 1e-9, Terminal(0.0))))
         with pytest.raises(ValidationError, match="sum"):
@@ -137,7 +152,8 @@ class TestDepth:
 
     def test_deep_side_branches_give_the_walks_report(self):
         """5,000 levels that each leave a resume point or a side gamble on
-        the walk's way: no RecursionError, and the stack walk's report."""
+        the walk's way: no RecursionError, the stack walk's report and the
+        level walk's bits."""
         comb = Terminal(1.0)  # the path goes down branch 0; the last branch is a terminal
         side = Terminal(-0.5)  # a two-leaf gamble in a non-last branch at every level
         for level in range(5_000):
@@ -150,6 +166,7 @@ class TestDepth:
             assert got.conditional_values == want.conditional_values and got.spine is None
             assert [got.payoff_min.hex(), got.payoff_max.hex()] == [want.payoff_min.hex(),
                                                                   want.payoff_max.hex()]
+            assert result_bits(_result(tree, got, P)) == result_bits(level_walk_result(tree, want, P))
 
     @staticmethod
     def deep_trees():
@@ -292,7 +309,7 @@ class TestMartingaleAndDecomposition:
                 fresh = walk_report(nodes[i])
                 want = level_walk_result(nodes[i], fresh, params, scale, offset)
                 assert result_bits(spine.result(i, offset)) == result_bits(want)
-                assert spine.values[i] == fresh.expected_value
+                assert spine.table[id(nodes[i])] == fresh.expected_value
 
     @pytest.mark.parametrize("mode", ["none", "full", "partial:0.6"])
     @pytest.mark.parametrize("params", [P, ModelParams(k=5.0, alpha=2.2, k2=10.0)],
