@@ -10,7 +10,15 @@ call computes on those checked floats and builds no spec, params or
 other object of its own.
 
 Conventions: q = 1 - p, ap = alpha - 1, and the per-stage constant
-C = k*p - p**alpha * q**(1-alpha), positive unless p is large.
+C = k*p - p**alpha * q**(1-alpha), positive unless p is large.  The
+chain head at a hazard p holds q, ap, q**ap, q**(1-alpha) and C; a chain
+tail turns it into the chain's total surprise at one length n.  A call
+computes each piece it shares once: one head per hazard feeds every
+tail and stage at that hazard (``timing_ratio``'s chain ahead of the
+reveal, its late stages and its fixed option at the mean delay), and
+``discount_ratio`` computes the chain sum at (p, n), q**n and the
+probability-only surprise once for U_pt, U_t and U_p.  Nothing is kept
+between calls.
 """
 
 from __future__ import annotations
@@ -104,10 +112,33 @@ class DualRiskSpec:
         return 1.0 - self.p_pr ** (1.0 / self.n) * (1.0 - self.p)
 
 
-def _chain_constant(p: float, params: ModelParams) -> float:
+def _chain_head(p: float, params: ModelParams) -> tuple[float, float, float, float, float]:
+    """What every chain tail and stage at a checked hazard p shares:
+    (q, ap, q**ap, q**(1-alpha), C)."""
+    a = params.alpha
+    q = 1.0 - p
+    ap = a - 1.0
+    q_ap = q**ap
+    q_inv = q ** (1.0 - a)
     # C = k*p - p**alpha * q**(1-alpha); the whole of one stage's surprise
     # up to the survival-probability prefactors.
-    return params.k * p - p**params.alpha * (1.0 - p) ** (1.0 - params.alpha)
+    return q, ap, q_ap, q_inv, params.k * p - p**a * q_inv
+
+
+def _chain_tail(n: float, q: float, ap: float, q_ap: float, c: float) -> float:
+    """hazard_total_surprise at length n from its chain head at p.
+
+    The q**ap == 1 check sits here, with the division it guards, and not
+    in the head: hazard_stage_surprise reads the head at every p."""
+    if q_ap == 1.0:
+        raise ValidationError("q**(alpha-1) == 1; hazard probability too small to resolve")
+    return -c * q ** (n + ap) * (1.0 - q ** (n * ap)) / (1.0 - q_ap)
+
+
+def _chain_sum(p: float, n: float, params: ModelParams) -> float:
+    """hazard_total_surprise on a checked hazard p and length n."""
+    q, ap, q_ap, _, c = _chain_head(p, params)
+    return _chain_tail(n, q, ap, q_ap, c)
 
 
 def hazard_stage_surprise(spec: HazardSpec, t: int, params: ModelParams) -> float:
@@ -119,8 +150,7 @@ def hazard_stage_surprise(spec: HazardSpec, t: int, params: ModelParams) -> floa
     """
     if not (is_whole(t) and 1 <= t <= spec.n):
         raise ValidationError(f"stage must be an integer in [1, {spec.n}], got {t!r}")
-    q = 1.0 - spec.p
-    c = _chain_constant(spec.p, params)
+    q, _, _, _, c = _chain_head(spec.p, params)
     return q ** (t - 1) * (-c * q ** (params.alpha * (spec.n - t + 1)))
 
 
@@ -135,28 +165,13 @@ def hazard_total_surprise(spec: HazardSpec, params: ModelParams) -> float:
     return _chain_sum(spec.p, spec.n, params)
 
 
-def _chain_sum(p: float, n: float, params: ModelParams) -> float:
-    """hazard_total_surprise on a checked hazard p and length n."""
-    q = 1.0 - p
-    ap = params.alpha - 1.0
-    denom = 1.0 - q**ap
-    if denom == 0.0:
-        raise ValidationError("q**(alpha-1) == 1; hazard probability too small to resolve")
-    c = _chain_constant(p, params)
-    return -c * q ** (n + ap) * (1.0 - q ** (n * ap)) / denom
-
-
 def discount_factor(spec: HazardSpec, params: ModelParams) -> float:
     """Value of the delayed unit reward relative to an immediate one:
     q**n * g(total surprise).  Strictly decreasing in both n and p."""
     if spec.n == 0:
         return 1.0
-    return _discount(spec.p, spec.n, params)
-
-
-def _discount(p: float, n: float, params: ModelParams) -> float:
-    """discount_factor on a checked hazard p and length n > 0."""
-    return utility((1.0 - p) ** n, _chain_sum(p, n, params), params)
+    q, ap, q_ap, _, c = _chain_head(spec.p, params)
+    return utility(q**spec.n, _chain_tail(spec.n, q, ap, q_ap, c), params)
 
 
 def prob_only_surprise(p_pr: float, params: ModelParams) -> float:
@@ -209,26 +224,23 @@ def timing_components(spec: TimingRiskSpec, params: ModelParams) -> TimingCompon
     q**2, and the late branch adds two ordinary hazard stages.  Each
     piece equals the exhaustive tree evaluation of its stage group.
     """
-    return TimingComponents(*_timing(spec, params), e_fix=(1.0 - spec.p) ** mean_delay(spec))
+    q, ap, q_ap, q_inv, c = _chain_head(spec.p, params)
+    return TimingComponents(*_timing(spec, params, q, ap, q_ap, q_inv, c),
+                            e_fix=q ** mean_delay(spec))
 
 
-def _timing(spec: TimingRiskSpec, params: ModelParams) -> tuple[float, float, float, float, float]:
-    """TimingComponents' first five fields, delta_common to e_tr."""
+def _timing(spec: TimingRiskSpec, params: ModelParams, q: float, ap: float, q_ap: float,
+            q_inv: float, c: float) -> tuple[float, float, float, float, float]:
+    """TimingComponents' first five fields, delta_common to e_tr, from
+    the chain head at p."""
     p, n, p_tr = spec.p, spec.n, spec.p_tr
     a = params.alpha
-    ap = a - 1.0
-    q = 1.0 - p
-    m = p_tr + (1.0 - p_tr) * q * q
-
-    d_common = m**a * _chain_sum(p, n - 1, params)
-    d_tr0 = q ** (n - 1) * (1.0 - q * q) ** a * prob_only_surprise(p_tr, params)
-    d_late = (
-        p
-        * q ** (n + a)
-        * (1.0 - p_tr)
-        * (p**ap * (1.0 + q ** (1.0 - a)) - params.k * (1.0 + q**ap))
-    )
-    e_tr = p_tr * q ** (n - 1) + (1.0 - p_tr) * q ** (n + 1)
+    # m = p_tr + (1-p_tr)*q**2 is the reveal node's expected value
+    d_common = (p_tr + (1.0 - p_tr) * q * q) ** a * _chain_tail(n - 1, q, ap, q_ap, c)
+    q_n1 = q ** (n - 1)
+    d_tr0 = q_n1 * (1.0 - q * q) ** a * prob_only_surprise(p_tr, params)
+    d_late = p * q ** (n + a) * (1.0 - p_tr) * (p**ap * (1.0 + q_inv) - params.k * (1.0 + q_ap))
+    e_tr = p_tr * q_n1 + (1.0 - p_tr) * q ** (n + 1)
     return d_common, d_tr0, d_late, d_common + spec.k_tr * d_tr0 + d_late, e_tr
 
 
@@ -236,9 +248,11 @@ def timing_ratio(spec: TimingRiskSpec, params: ModelParams) -> float:
     """U_tr / U_fix: the timing lottery against a fixed reward at the
     mean delay.  Below 1 means the lottery is discounted harder, i.e.
     aversion to timing risk.  ValidationError if U_fix underflows to 0."""
-    _, _, _, delta_total, e_tr = _timing(spec, params)
+    q, ap, q_ap, q_inv, c = _chain_head(spec.p, params)
+    _, _, _, delta_total, e_tr = _timing(spec, params, q, ap, q_ap, q_inv, c)
     # the mean delay is >= 1, so the fixed option is a chain of n > 0
-    u_fix = _discount(spec.p, mean_delay(spec), params)
+    delay = mean_delay(spec)
+    u_fix = utility(q**delay, _chain_tail(delay, q, ap, q_ap, c), params)
     if u_fix == 0.0:
         raise ValidationError("timing ratio undefined: U_fix underflows to 0")
     return utility(e_tr, delta_total, params) / u_fix
@@ -261,15 +275,20 @@ def dual_surprise(spec: DualRiskSpec, params: ModelParams) -> float:
 
     INCORPORATED: plain chain at the inflated hazard p'.
     """
-    a = params.alpha
-    p, n, p_pr = spec.p, spec.n, spec.p_pr
-    q = 1.0 - p
+    if spec.scheme is DualScheme.INCORPORATED:
+        # DualRiskSpec checked that the inflated hazard lies in (0, 1)
+        return _chain_sum(spec.inflated_hazard(), spec.n, params)
+    return _separate_surprise(spec, params, _chain_sum(spec.p, spec.n, params),
+                              (1.0 - spec.p) ** spec.n, prob_only_surprise(spec.p_pr, params))
+
+
+def _separate_surprise(spec: DualRiskSpec, params: ModelParams, chain: float, q_n: float,
+                       delta_p: float) -> float:
+    """dual_surprise under a separate scheme, from the chain's total
+    surprise at (p, n), q**n and prob_only_surprise(p_pr)."""
     if spec.scheme is DualScheme.SEPARATE_AFTER:
-        return p_pr**a * _chain_sum(p, n, params) + q**n * prob_only_surprise(p_pr, params)
-    if spec.scheme is DualScheme.SEPARATE_BEFORE:
-        return p_pr * _chain_sum(p, n, params) + q ** (n * a) * prob_only_surprise(p_pr, params)
-    # DualRiskSpec checked that the inflated hazard lies in (0, 1)
-    return _chain_sum(spec.inflated_hazard(), n, params)
+        return spec.p_pr**params.alpha * chain + q_n * delta_p
+    return spec.p_pr * chain + (1.0 - spec.p) ** (spec.n * params.alpha) * delta_p
 
 
 def discount_ratio(spec: DualRiskSpec, params: ModelParams) -> float:
@@ -280,11 +299,20 @@ def discount_ratio(spec: DualRiskSpec, params: ModelParams) -> float:
     delay-only option, and U_p the probability-only gamble, the last with
     k2 replaced by the spec's k2_prob.  ValidationError if U_p * U_t is 0.
     """
-    p_pr = spec.p_pr
-    u_pt = utility(p_pr * (1.0 - spec.p) ** spec.n, dual_surprise(spec, params), params)
-    u_t = _discount(spec.p, spec.n, params)
+    p, n, p_pr = spec.p, spec.n, spec.p_pr
+    q_n = (1.0 - p) ** n
+    if spec.scheme is DualScheme.INCORPORATED:
+        # dual_surprise's chain at the inflated hazard; U_pt is valued
+        # before U_t's chain is summed, so the first error stays the first
+        u_pt = utility(p_pr * q_n, _chain_sum(spec.inflated_hazard(), n, params), params)
+        chain = _chain_sum(p, n, params)
+        delta_p = prob_only_surprise(p_pr, params)
+    else:
+        chain = _chain_sum(p, n, params)
+        delta_p = prob_only_surprise(p_pr, params)
+        u_pt = utility(p_pr * q_n, _separate_surprise(spec, params, chain, q_n, delta_p), params)
+    u_t = utility(q_n, chain, params)
     # prob_only_surprise reads only k and alpha; g reads k2_prob for k2
-    delta_p = prob_only_surprise(p_pr, params)
     u_p = p_pr * _modulation(delta_p, params.k1, spec.k2_prob, params.modulation)
     if u_p * u_t == 0.0:
         raise ValidationError("discount ratio undefined: U_p * U_t underflows to 0")

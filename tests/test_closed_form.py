@@ -29,6 +29,7 @@ from anticipated_surprise import (
     timing_ratio,
     utility,
 )
+from anticipated_surprise import closed_form
 from anticipated_surprise.closed_form import TimingComponents
 
 P = ModelParams()                      # k=3, alpha=1.6, k1=k2=2
@@ -440,3 +441,54 @@ class TestNoObjectPerCall:
         del built[:]
         assert call(spec, params) > 0.0
         assert built == []
+
+
+class TestEachSharedPieceOncePerCall:
+    """A call computes each piece it shares once: the chain head at a
+    hazard (q, q**(alpha-1), q**(1-alpha) and C), the chain sum at (p, n),
+    q**n and the probability-only surprise."""
+
+    @pytest.fixture
+    def calls(self, monkeypatch):
+        """The arguments of each call of the chain head, the chain tail and
+        prob_only_surprise from here on, by function name."""
+        seen = {name: [] for name in ("_chain_head", "_chain_tail", "prob_only_surprise")}
+        for name, args in seen.items():
+            def counting(*call_args, _original=getattr(closed_form, name), _args=args):
+                _args.append(call_args)
+                return _original(*call_args)
+            monkeypatch.setattr(closed_form, name, counting)
+        return seen
+
+    @staticmethod
+    def firsts(calls, name):
+        return [args[0] for args in calls[name]]
+
+    @pytest.mark.parametrize("scheme", [DualScheme.SEPARATE_AFTER, DualScheme.SEPARATE_BEFORE])
+    def test_discount_ratio_sums_the_chain_once(self, calls, scheme):
+        discount_ratio(DualRiskSpec(0.03, 12, 0.6, scheme, 5.0), P10)
+        assert self.firsts(calls, "_chain_head") == [0.03]
+        assert self.firsts(calls, "_chain_tail") == [12]
+        assert self.firsts(calls, "prob_only_surprise") == [0.6]
+
+    def test_incorporated_ratio_sums_each_chain_once(self, calls):
+        spec = DualRiskSpec(0.03, 12, 0.6, DualScheme.INCORPORATED, 5.0)
+        discount_ratio(spec, P10)
+        # U_pt's chain at the inflated hazard, then U_t's at p
+        assert self.firsts(calls, "_chain_head") == [spec.inflated_hazard(), 0.03]
+        assert self.firsts(calls, "_chain_tail") == [12, 12]
+        assert self.firsts(calls, "prob_only_surprise") == [0.6]
+
+    def test_timing_ratio_computes_the_chain_head_once(self, calls):
+        spec = TimingRiskSpec(0.05, 7, 0.3, 4.0)
+        timing_ratio(spec, P10)
+        # one C(p) feeds the chain ahead of the reveal and the fixed option's
+        assert self.firsts(calls, "_chain_head") == [0.05]
+        assert self.firsts(calls, "_chain_tail") == [6, mean_delay(spec)]
+        assert self.firsts(calls, "prob_only_surprise") == [0.3]
+
+    def test_discount_factor_computes_one_head_and_tail(self, calls):
+        discount_factor(HazardSpec(0.03, 50), P10)
+        assert self.firsts(calls, "_chain_head") == [0.03]
+        assert self.firsts(calls, "_chain_tail") == [50]
+        assert calls["prob_only_surprise"] == []
