@@ -10,7 +10,7 @@ above exp(-0.3n) -- with a constant hazard rate, no time-varying
 machinery involved.
 """
 
-import numpy as np
+import math
 
 from anticipated_surprise import HazardSpec, ModelParams, discount_factor, hazard_total_surprise
 
@@ -23,7 +23,7 @@ for n in range(1, 41, 3):
     u = discount_factor(HazardSpec(p, n), params)
     print(
         f"{n:3d} {mag:10.4f} {u:8.4f} {1 / (1 + 0.88 * n):10.4f} "
-        f"{np.exp(-0.3 * n):11.5f}"
+        f"{math.exp(-0.3 * n):11.5f}"
     )
 
 # decreasing impatience: adding a common delay softens the relative discount

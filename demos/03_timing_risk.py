@@ -10,8 +10,6 @@ option: the ratio drops below 1.  Ignore the reveal (k_tr = 0) and the
 expected-value logic returns.
 """
 
-import numpy as np
-
 from anticipated_surprise import ModelParams, TimingRiskSpec, timing_components, timing_ratio
 
 params = ModelParams(k=3.0, alpha=1.6, k1=2.0, k2=10.0)
@@ -25,8 +23,8 @@ for n in range(2, 13):
     print(f"{n:3d} {w:15.4f} {z:14.4f}")
 
 print("\nthe aversion mirrors single-gamble risk preference in p_tr (n = 4):")
-for p_tr in np.arange(0.05, 1.0, 0.15):
-    spec = TimingRiskSpec(p, 4, float(p_tr), k_tr=10.0)
+for p_tr in (0.05 + i * 0.15 for i in range(7)):
+    spec = TimingRiskSpec(p, 4, p_tr, k_tr=10.0)
     comps = timing_components(spec, params)
     ratio = timing_ratio(spec, params)
     print(

@@ -11,17 +11,15 @@ with the incorporated one, which is how both empirical directions can
 coexist.
 """
 
-import numpy as np
-
 from anticipated_surprise import DualRiskSpec, DualScheme, ModelParams, discount_ratio
 
 params = ModelParams(k=3.0, alpha=1.6, k1=2.0, k2=10.0)
 p, n = 0.03, 4
 
 print(f"{'p_pr':>5} {'separate after':>14} {'separate before':>15} {'incorporated':>13}")
-for p_pr in np.arange(0.3, 1.0, 0.1):
+for p_pr in (0.3 + i * 0.1 for i in range(7)):
     ds = [
-        discount_ratio(DualRiskSpec(p, n, float(p_pr), scheme, k2_prob=2.0), params)
+        discount_ratio(DualRiskSpec(p, n, p_pr, scheme, k2_prob=2.0), params)
         for scheme in (
             DualScheme.SEPARATE_AFTER,
             DualScheme.SEPARATE_BEFORE,

@@ -11,8 +11,6 @@ explodes at small p; fully scaled it stays near 1; the in-between
 normalization x' = p**(1/alpha) * x keeps a realistic 25-30% lift.
 """
 
-import numpy as np
-
 from anticipated_surprise import (
     FixedScale,
     FullScaling,

@@ -2,8 +2,8 @@
 
 Every builder returns a tree whose exhaustive evaluation is the
 reference value for the matching formula in ``closed_form``.  Builders
-check their own arguments but do not walk the tree they return;
-validation happens in the evaluation walk (``tree.validate``).
+check the numbers they take, trust a spec's own checks and do not walk
+the tree they return; validation happens in ``tree.validate``.
 
 Nodes are immutable and may be shared within a tree: every level of a
 hazard chain reuses one loss branch ``Branch(p, Terminal(0.0))``.  A
@@ -18,25 +18,20 @@ from dataclasses import dataclass
 from typing import Sequence
 
 from .closed_form import DualRiskSpec, DualScheme, TimingRiskSpec
-from .core import ValidationError, is_whole
+from .core import ValidationError, check_probability, check_whole
 from .tree import Branch, Internal, ResolutionNode, Terminal
 
 
 def build_binary_gamble(hi: float, lo: float, p: float) -> ResolutionNode:
     """Single-stage gamble: payoff hi with probability p, else lo."""
-    if not (math.isfinite(p) and 0.0 < p < 1.0):
-        raise ValidationError(f"p must lie in (0, 1), got {p!r}")
+    check_probability("p", p)
     return Internal((Branch(p, Terminal(hi)), Branch(1.0 - p, Terminal(lo))))
 
 
 def build_hazard_chain(p: float, n: int) -> ResolutionNode:
     """Depth-n survival chain: each level loses the unit reward with
     probability p; surviving all n levels pays 1."""
-    if not (math.isfinite(p) and 0.0 < p < 1.0):
-        raise ValidationError(f"p must lie in (0, 1), got {p!r}")
-    if not (is_whole(n) and n >= 1):
-        raise ValidationError(f"n must be an integer >= 1, got {n!r}")
-    return _chain(p, int(n), Terminal(1.0))
+    return _chain(check_probability("p", p), int(check_whole("n", n, 1)), Terminal(1.0))
 
 
 def _chain(p: float, n: int, node: ResolutionNode) -> ResolutionNode:
@@ -73,19 +68,15 @@ def build_dual_scheme_a(spec: DualRiskSpec) -> ResolutionNode:
     if spec.scheme is DualScheme.SEPARATE_AFTER:
         return _chain(spec.p, int(spec.n), build_binary_gamble(1.0, 0.0, spec.p_pr))
     if spec.scheme is DualScheme.SEPARATE_BEFORE:
-        return Internal(
-            (
-                Branch(1.0 - spec.p_pr, Terminal(0.0)),
-                Branch(spec.p_pr, build_hazard_chain(spec.p, int(spec.n))),
-            )
-        )
+        chain = _chain(spec.p, int(spec.n), Terminal(1.0))
+        return Internal((Branch(1.0 - spec.p_pr, Terminal(0.0)), Branch(spec.p_pr, chain)))
     raise ValidationError(f"scheme {spec.scheme} is not a separate-resolution scheme")
 
 
 def build_dual_scheme_b(spec: DualRiskSpec) -> ResolutionNode:
     """Dual risk folded into the chain: a plain hazard chain at the
     inflated per-step hazard p' = 1 - p_pr**(1/n)*(1-p)."""
-    return build_hazard_chain(spec.inflated_hazard(), int(spec.n))
+    return _chain(spec.inflated_hazard(), int(spec.n), Terminal(1.0))
 
 
 @dataclass(frozen=True)
@@ -111,10 +102,7 @@ class ScenarioSpec:
             raise ValidationError(f"step_probabilities and step_payoffs need the same "
                                   f"length >= 1, got {n_probs} and {n_payoffs}")
         for i, prob in enumerate(self.step_probabilities):
-            if not (math.isfinite(prob) and 0.0 < prob < 1.0):
-                raise ValidationError(
-                    f"step_probabilities[{i}] must lie in (0, 1), got {prob!r}"
-                )
+            check_probability(f"step_probabilities[{i}]", prob)
         for i, payoff in enumerate(self.step_payoffs):
             if not math.isfinite(payoff):
                 raise ValidationError(f"step_payoffs[{i}] must be finite, got {payoff!r}")

@@ -51,7 +51,8 @@ from .closed_form import (
     mean_delay,
     timing_components,
 )
-from .core import ModelParams, Modulation, ValidationError, is_whole, utility
+from .core import (ModelParams, Modulation, ValidationError, check_nonnegative, check_whole,
+                   is_whole, utility)
 from .scaling import (AffineTransform, PartialScaling, ScalingMode, parse_scaling_mode,
                       reads_payoff_range, scaled_evaluation)
 from .tree import ResolutionNode, Spine, load_tree, validate
@@ -74,8 +75,7 @@ def whole(value: float, message: str) -> int:
 
 def grid_points(start: float, stop: float, count: int) -> list[float]:
     """count evenly spaced points from start to stop, endpoints exact."""
-    if int(count) != count or count < 2:
-        raise ValidationError(f"grid count must be an integer >= 2, got {count!r}")
+    check_whole("grid count", count, 2)
     if not (math.isfinite(start) and math.isfinite(stop)) or start == stop:
         raise ValidationError(f"grid endpoints must be finite and distinct, got {start!r}:{stop!r}")
     step = (stop - start) / (count - 1)
@@ -189,18 +189,25 @@ SCHEMES = {
 }
 
 
-def reads(point: SchemePoint) -> tuple[str, ...]:
-    """The point fields that point's scheme reads; a tree file reads none."""
-    return () if point.scheme.startswith("tree:") else SCHEMES[point.scheme].fields
+def scheme_of(name: str) -> Scheme:
+    """name's SCHEMES entry, or for tree:<path> a Scheme that reads no field and loads path."""
+    if name.startswith("tree:"):
+        path = name.removeprefix("tree:")
+        if not path:
+            raise ValidationError("tree scheme needs a path: tree:<path>")
+        return Scheme((), lambda pt: load_tree(path))
+    if name not in SCHEMES:
+        raise ValidationError(f"unknown scheme {name!r}; expected one of "
+                              f"{', '.join(SCHEMES)} or tree:<path>")
+    return SCHEMES[name]
 
 
 def build_scheme_tree(point: SchemePoint) -> ResolutionNode:
-    if point.scheme.startswith("tree:"):
-        return load_tree(point.scheme.removeprefix("tree:"))
-    for name in reads(point):
+    scheme = scheme_of(point.scheme)
+    for name in scheme.fields:
         if getattr(point, name) is None:
             raise ValidationError(f"scheme {point.scheme!r} requires {flag(name)}")
-    return SCHEMES[point.scheme].build(point)
+    return scheme.build(point)
 
 
 def evaluate_point(
@@ -227,7 +234,7 @@ def evaluate_grid(
     The shared build waits for the first point, whose own build would
     raise the same errors: none depends on n.
     """
-    first = SCHEMES[fixed.scheme].nests_from if target == "n" else None
+    first = scheme_of(fixed.scheme).nests_from if target == "n" else None
     shared = (first is not None and not reads_payoff_range(mode)
               and all(is_whole(value) and value >= first for value in values))
     attrs, spine = vars(fixed).copy(), None
@@ -263,15 +270,20 @@ def _subnormal(values: dict[str, float]) -> str | None:
     return None
 
 
+def _row(point: SchemePoint) -> str:
+    """point's row in a message: each field its scheme reads, or its scheme if none."""
+    return (", ".join(f"{name}={getattr(point, name)!r}" for name in scheme_of(point.scheme).fields)
+            or point.scheme)
+
+
 def _ratio(utility: float, reference: float, point: SchemePoint) -> float:
     """utility / reference; ValidationError if reference is 0 or either is subnormal."""
-    undefined = f"ratio undefined at p={point.p!r}, n={point.n!r}: its"
-    if reference == 0.0:
-        raise ValidationError(f"{undefined} reference utility underflows to 0")
     values = {"utility": utility, "reference utility": reference}
     name = _subnormal(values)
-    if name is not None:
-        raise ValidationError(f"{undefined} {name} underflows to the subnormal {values[name]!r}")
+    if reference == 0.0 or name is not None:
+        why = ("reference utility underflows to 0" if reference == 0.0
+               else f"{name} underflows to the subnormal {values[name]!r}")
+        raise ValidationError(f"ratio undefined at {_row(point)}: its {why}")
     return utility / reference
 
 
@@ -279,8 +291,7 @@ def _refuse_subnormal(point: SchemePoint, **columns: float) -> None:
     """ValidationError if a column of point's row is a subnormal float."""
     column = _subnormal(columns)
     if column is not None:
-        row = ", ".join(f"{name}={getattr(point, name)!r}" for name in reads(point))
-        raise ValidationError(f"{column} at {row or point.scheme} underflows "
+        raise ValidationError(f"{column} at {_row(point)} underflows "
                               f"to the subnormal {columns[column]!r}")
 
 
@@ -318,7 +329,7 @@ def iter_rows(fixed: SchemePoint, target: str, values: Sequence[float], params: 
     """[value, u0, delta, utility] of fixed with its field target set to
     each value, in list order, plus its scheme's ratio if it has one, with
     the ratio's memo (see ``Scheme``); a bad value raises when reached."""
-    ratio = SCHEMES[fixed.scheme].ratio
+    ratio = scheme_of(fixed.scheme).ratio
     # a ratio is made of unscaled utilities: the row's own if unscaled
     unscaled = mode == AffineTransform()
     plain = None if unscaled else evaluate_grid(fixed, target, values, params, AffineTransform())
@@ -331,13 +342,6 @@ def iter_rows(fixed: SchemePoint, target: str, values: Sequence[float], params: 
         yield row
 
 
-def check_k2_prob(value: float) -> float:
-    """value, the dual ratio's --k2-prob; ValidationError unless finite and >= 0."""
-    if not (math.isfinite(value) and value >= 0.0):
-        raise ValidationError(f"--k2-prob must be finite and >= 0, got {value!r}")
-    return value
-
-
 # --- eval -------------------------------------------------------------------
 
 
@@ -347,7 +351,7 @@ def cmd_eval(args: argparse.Namespace) -> int:
     point = _point_from(args)
     u0, delta, util = evaluate_point(point, params, mode)
     _refuse_subnormal(point, u0=u0, utility=util)
-    read = reads(point)
+    read = scheme_of(point.scheme).fields
     row = {
         "scheme": args.scheme,
         **{name: fmt(getattr(point, name)) if name in read else "" for name in POINT_FIELDS},
@@ -448,7 +452,7 @@ def figure_rows(fig_id: str, overrides: dict | None = None) -> tuple[list[str], 
     params = ModelParams(**{f.name: v[f.name] for f in fields(ModelParams)})
     if v.get("n") is not None:
         v["n"] = whole(v["n"], "--n must be a whole number")
-    k2_prob = check_k2_prob(v["k2_prob"]) if "k2_prob" in v else None
+    k2_prob = check_nonnegative("--k2-prob", v["k2_prob"]) if "k2_prob" in v else None
     header, rows = [fig.target, *fig.columns], []
     if not fig.series:
         # figA3: the full range is [0, 1/p]; partial divides by (1/p)**(1/alpha)
@@ -496,8 +500,8 @@ def cmd_figure(args: argparse.Namespace) -> int:
 def sweep_rows(target: str, values: list[float], fixed: SchemePoint, params: ModelParams,
                mode: ScalingMode, k2_prob: float) -> tuple[list[str], list[list[float]]]:
     """Header and rows of fixed's scheme with its field target set to each value."""
-    entry = SCHEMES.get(fixed.scheme)
-    if entry is None or target not in entry.fields:
+    entry = scheme_of(fixed.scheme)
+    if target not in entry.fields:
         raise ValidationError(f"target {target!r} does not apply to scheme {fixed.scheme!r}")
     header = [target, "u0", "delta", "utility", *[entry.column] * (entry.column is not None)]
     return header, list(iter_rows(fixed, target, values, params, mode, k2_prob, {}))
@@ -507,10 +511,10 @@ def cmd_sweep(args: argparse.Namespace) -> int:
     params = _params_from(args)
     mode = parse_scaling_mode(args.scaling)
     fixed = _point_from(args)
-    reads_k2_prob = "k2_prob" in getattr(SCHEMES.get(fixed.scheme), "ratio_flags", ())
-    if args.k2_prob is not None and not reads_k2_prob:
+    if args.k2_prob is not None and "k2_prob" not in scheme_of(fixed.scheme).ratio_flags:
         raise ValidationError(f"scheme {args.scheme!r} does not read --k2-prob")
-    k2_prob = DualRiskSpec.k2_prob if args.k2_prob is None else check_k2_prob(args.k2_prob)
+    k2_prob = (DualRiskSpec.k2_prob if args.k2_prob is None
+               else check_nonnegative("--k2-prob", args.k2_prob))
     if args.grid is not None and args.values is not None:
         raise ValidationError("give either --grid or --values, not both")
     if args.grid is not None:
@@ -544,16 +548,10 @@ def _params_from(args: argparse.Namespace) -> ModelParams:
 
 
 def _point_from(args: argparse.Namespace) -> SchemePoint:
-    if args.scheme == "tree:":
-        raise ValidationError("tree scheme needs a path: tree:<path>")
-    if not args.scheme.startswith("tree:") and args.scheme not in SCHEMES:
-        raise ValidationError(
-            f"unknown scheme {args.scheme!r}; expected one of "
-            f"{', '.join(SCHEMES)} or tree:<path>"
-        )
+    reads = scheme_of(args.scheme).fields
     given = {name: value for name in POINT_FIELDS if (value := getattr(args, name)) is not None}
     point = SchemePoint(args.scheme, **given)
-    unread = [flag(name) for name in given if name not in reads(point)]
+    unread = [flag(name) for name in given if name not in reads]
     if unread:
         raise ValidationError(f"scheme {args.scheme!r} does not read {', '.join(unread)}")
     if point.n is not None:

@@ -27,7 +27,8 @@ import math
 from dataclasses import dataclass
 from enum import Enum
 
-from .core import ModelParams, ValidationError, _modulation, is_whole, utility
+from .core import (ModelParams, ValidationError, _modulation, check_nonnegative, check_probability,
+                   check_whole, is_whole, utility)
 
 
 @dataclass(frozen=True)
@@ -41,10 +42,8 @@ class HazardSpec:
     n: float
 
     def __post_init__(self) -> None:
-        if not (math.isfinite(self.p) and 0.0 < self.p < 1.0):
-            raise ValidationError(f"p must lie in (0, 1), got {self.p!r}")
-        if not (math.isfinite(self.n) and self.n >= 0.0):
-            raise ValidationError(f"n must be finite and >= 0, got {self.n!r}")
+        check_probability("p", self.p)
+        check_nonnegative("n", self.n)
 
 
 @dataclass(frozen=True)
@@ -60,14 +59,10 @@ class TimingRiskSpec:
     k_tr: float = 1.0
 
     def __post_init__(self) -> None:
-        if not (math.isfinite(self.p) and 0.0 < self.p < 1.0):
-            raise ValidationError(f"p must lie in (0, 1), got {self.p!r}")
-        if not (is_whole(self.n) and self.n >= 2):
-            raise ValidationError(f"n must be an integer >= 2, got {self.n!r}")
-        if not (math.isfinite(self.p_tr) and 0.0 < self.p_tr < 1.0):
-            raise ValidationError(f"p_tr must lie in (0, 1), got {self.p_tr!r}")
-        if not (math.isfinite(self.k_tr) and self.k_tr >= 0.0):
-            raise ValidationError(f"k_tr must be finite and >= 0, got {self.k_tr!r}")
+        check_probability("p", self.p)
+        check_whole("n", self.n, 2)
+        check_probability("p_tr", self.p_tr)
+        check_nonnegative("k_tr", self.k_tr)
 
 
 class DualScheme(Enum):
@@ -92,14 +87,10 @@ class DualRiskSpec:
     k2_prob: float = 2.0
 
     def __post_init__(self) -> None:
-        if not (math.isfinite(self.p) and 0.0 < self.p < 1.0):
-            raise ValidationError(f"p must lie in (0, 1), got {self.p!r}")
-        if not (is_whole(self.n) and self.n >= 1):
-            raise ValidationError(f"n must be an integer >= 1, got {self.n!r}")
-        if not (math.isfinite(self.p_pr) and 0.0 < self.p_pr < 1.0):
-            raise ValidationError(f"p_pr must lie in (0, 1), got {self.p_pr!r}")
-        if not (math.isfinite(self.k2_prob) and self.k2_prob >= 0.0):
-            raise ValidationError(f"k2_prob must be finite and >= 0, got {self.k2_prob!r}")
+        check_probability("p", self.p)
+        check_whole("n", self.n, 1)
+        check_probability("p_pr", self.p_pr)
+        check_nonnegative("k2_prob", self.k2_prob)
         if self.scheme is DualScheme.INCORPORATED:
             if not 0.0 < self.inflated_hazard() < 1.0:
                 raise ValidationError(

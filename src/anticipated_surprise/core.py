@@ -71,6 +71,27 @@ def is_whole(x: float) -> bool:
     return math.isfinite(x) and x == int(x)
 
 
+def check_probability(name: str, x: float) -> float:
+    """x; ValidationError unless 0 < x < 1."""
+    if not 0.0 < x < 1.0:  # also rejects nan and inf
+        raise ValidationError(f"{name} must lie in (0, 1), got {x!r}")
+    return x
+
+
+def check_nonnegative(name: str, x: float) -> float:
+    """x; ValidationError unless finite and >= 0."""
+    if not 0.0 <= x < math.inf:  # also rejects nan
+        raise ValidationError(f"{name} must be finite and >= 0, got {x!r}")
+    return x
+
+
+def check_whole(name: str, x: float, k: int) -> float:
+    """x; ValidationError unless a whole number >= k."""
+    if not (is_whole(x) and x >= k):
+        raise ValidationError(f"{name} must be an integer >= {k}, got {x!r}")
+    return x
+
+
 def surprise_kernel(z: float, params: ModelParams) -> float:
     """Signed convex surprise of a single expectation error z.
 

@@ -6,13 +6,19 @@ whole root-to-leaf trajectories and averages the kernel over them, per
 the definition, instead of grouping by node and level like the library
 does.  Agreement between the two routes is what the tree tests check.
 ``walk_report`` is the oracle of ``tree.validate``'s report, and
-``level_walk`` that of ``tree._stage_surprises``' stages.
+``level_walk`` that of ``tree._stage_surprises``' stages.  ``drifted``,
+``golden_text`` and ``bit_script`` compare, write and check the JSON
+goldens of the bit scripts and of ``test_goldens.py``.
 """
 
 from __future__ import annotations
 
+import json
 import random
+import sys
 from math import inf, isfinite
+from pathlib import Path
+from typing import NoReturn
 
 from anticipated_surprise import (Branch, Internal, ModelParams, Terminal, ValidationError,
                                   ValidationReport, surprise_kernel)
@@ -27,6 +33,31 @@ NESTING = {
     "timing": SchemePoint("timing", p=0.05, p_tr=0.3, k_tr=4.0),
     "dual-a-after": SchemePoint("dual-a-after", p=0.03, p_pr=0.6),
 }
+
+
+def golden_text(cases: dict) -> str:
+    """cases as a golden file: a JSON object, one case a line, in order."""
+    rows = [f"{json.dumps(name)}: {json.dumps(value)}" for name, value in cases.items()]
+    return "{\n" + ",\n".join(rows) + "\n}\n"
+
+
+def drifted(golden: Path, now: dict) -> list[str]:
+    """The names of the cases whose value in now differs from golden's."""
+    want = json.loads(golden.read_text(encoding="utf-8"))
+    return [name for name in want.keys() | now.keys() if want.get(name) != now.get(name)]
+
+
+def bit_script(golden: Path, now: dict, count: str = "") -> NoReturn:
+    """A bit script's standalone run over its cases now: with --capture,
+    write them to golden; otherwise print how many of them (count, if
+    given) drift from golden, and exit 1 if any do."""
+    if sys.argv[1:] == ["--capture"]:
+        golden.write_text(golden_text(now), encoding="utf-8")
+        sys.exit(0)
+    bad = drifted(golden, now)
+    print(f"{len(bad)} of {count or f'{len(now)} cases'} drift from {golden.name}"
+          + (f": {', '.join(sorted(bad)[:10])}" if bad else ""))
+    sys.exit(1 if bad else 0)
 
 
 def level_walk(

@@ -708,21 +708,24 @@ class TestParser:
 
 class TestUndefinedRatio:
     @pytest.mark.parametrize(
-        "argv",
+        "argv, row",
         [
-            ["sweep", "--scheme", "dual-a-after", "--p", "0.99", "--n", "400", "--p-pr", "0.5",
-             "--target", "p-pr", "--values", "0.5"],
-            ["sweep", "--scheme", "timing", "--p", "0.99", "--n", "400", "--p-tr", "0.5",
-             "--target", "p-tr", "--values", "0.5"],
-            ["figure", "fig7", "--p", "0.99", "--n", "400"],
-            ["figure", "fig5-right", "--p", "0.99", "--n", "400"],
+            (["sweep", "--scheme", "dual-a-after", "--p", "0.99", "--n", "400", "--p-pr", "0.5",
+              "--target", "p-pr", "--values", "0.5"], "p_pr=0.5"),
+            (["sweep", "--scheme", "timing", "--p", "0.99", "--n", "400", "--p-tr", "0.5",
+              "--target", "p-tr", "--values", "0.5"], "p_tr=0.5, k_tr=1.0"),
+            # each figure stops at its grid's first value, in its first series
+            (["figure", "fig7", "--p", "0.99", "--n", "400"], "p_pr=0.3"),
+            (["figure", "fig5-right", "--p", "0.99", "--n", "400"], "p_tr=0.05, k_tr=10.0"),
         ],
+        ids=[f"argv{i}" for i in range(4)],
     )
-    def test_zero_reference_utility_exits_2(self, capsys, tmp_path, monkeypatch, argv):
+    def test_zero_reference_utility_exits_2(self, capsys, tmp_path, monkeypatch, argv, row):
         monkeypatch.chdir(tmp_path)
         code, out, err = run(capsys, argv)
         assert code == 2 and out == "" and list(tmp_path.iterdir()) == []
-        assert err == "error: ratio undefined at p=0.99, n=400: its reference utility underflows to 0\n"
+        assert err == (f"error: ratio undefined at p=0.99, n=400, {row}: its reference utility "
+                       "underflows to 0\n")
 
     def test_subnormal_utility_exits_2(self, capsys):
         # q**n stalls among the subnormals past ~23,300 levels at p=0.03
@@ -730,8 +733,8 @@ class TestUndefinedRatio:
                 "--target", "n", "--values", "20000,23500,30000"]
         code, out, err = run(capsys, argv)
         assert code == 2 and out == ""
-        assert err.startswith("error: ratio undefined at p=0.03, n=23500: its utility underflows "
-                              "to the subnormal 6.83") and err.count("\n") == 1
+        assert err.startswith("error: ratio undefined at p=0.03, n=23500, p_pr=0.5: its utility "
+                              "underflows to the subnormal 6.83") and err.count("\n") == 1
 
 
 class TestSubnormalColumns:

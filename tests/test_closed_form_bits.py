@@ -18,16 +18,15 @@ check needs no pytest:
 
 from __future__ import annotations
 
-import json
 import math
 import random
-import sys
 from pathlib import Path
 
 from anticipated_surprise import (DualRiskSpec, DualScheme, HazardSpec, ModelParams, Modulation,
                                   TimingRiskSpec, ValidationError, discount_factor, discount_ratio,
                                   dual_surprise, hazard_stage_surprise, hazard_total_surprise,
                                   mean_delay, prob_only_surprise, timing_components, timing_ratio)
+from conftest import bit_script, drifted
 
 GOLDEN = Path(__file__).resolve().parent / "goldens" / "closed_form_bits.json"
 
@@ -106,23 +105,9 @@ def current() -> dict[str, list[str]]:
     return dict(cases())
 
 
-def drift() -> list[str]:
-    """Names of the cases whose bits differ from the golden."""
-    golden = json.loads(GOLDEN.read_text(encoding="utf-8"))
-    now = current()
-    return [name for name in golden.keys() | now.keys() if golden.get(name) != now.get(name)]
-
-
 def test_closed_form_bits_match_golden():
-    assert drift() == []
+    assert drifted(GOLDEN, current()) == []
 
 
 if __name__ == "__main__":
-    if sys.argv[1:] == ["--capture"]:
-        rows = [f"{json.dumps(name)}: {json.dumps(bits)}" for name, bits in current().items()]
-        GOLDEN.write_text("{\n" + ",\n".join(rows) + "\n}\n", encoding="utf-8")
-        sys.exit(0)
-    bad = drift()
-    print(f"{len(bad)} of {len(current())} cases drift from {GOLDEN.name}"
-          + (f": {', '.join(sorted(bad)[:10])}" if bad else ""))
-    sys.exit(1 if bad else 0)
+    bit_script(GOLDEN, current())

@@ -15,9 +15,7 @@ would not.  The check needs no pytest:
 from __future__ import annotations
 
 import hashlib
-import json
 import random
-import sys
 from pathlib import Path
 
 from anticipated_surprise import (
@@ -33,7 +31,7 @@ from anticipated_surprise import (
     build_timing_risk,
     evaluate,
 )
-from conftest import random_tree
+from conftest import bit_script, drifted, random_tree
 
 GOLDEN = Path(__file__).resolve().parent / "goldens" / "evaluate_bits.json"
 
@@ -78,15 +76,8 @@ def current() -> dict[str, list[str]]:
     return {name: digest(name, tree, params) for name, tree, params in cases()}
 
 
-def drift() -> list[str]:
-    """Names of the cases whose bits differ from the golden."""
-    golden = json.loads(GOLDEN.read_text(encoding="utf-8"))
-    now = current()
-    return [name for name in golden.keys() | now.keys() if golden.get(name) != now.get(name)]
-
-
 def test_evaluate_bits_match_golden():
-    assert drift() == []
+    assert drifted(GOLDEN, current()) == []
 
 
 def test_payoff_only_total_is_a_float_zero():
@@ -95,11 +86,4 @@ def test_payoff_only_total_is_a_float_zero():
 
 
 if __name__ == "__main__":
-    if sys.argv[1:] == ["--capture"]:
-        rows = [f"{json.dumps(name)}: {json.dumps(bits)}" for name, bits in current().items()]
-        GOLDEN.write_text("{\n" + ",\n".join(rows) + "\n}\n", encoding="utf-8")
-        sys.exit(0)
-    bad = drift()
-    print(f"{len(bad)} of {len(current())} cases drift from {GOLDEN.name}"
-          + (f": {', '.join(sorted(bad)[:10])}" if bad else ""))
-    sys.exit(1 if bad else 0)
+    bit_script(GOLDEN, current())

@@ -24,6 +24,7 @@ import sys
 from pathlib import Path
 
 from anticipated_surprise.cli import FIGURES, main
+from conftest import golden_text
 
 try:
     from pytest import mark
@@ -132,9 +133,9 @@ def drift() -> list[str]:
 
 if __name__ == "__main__":
     if sys.argv[1:] == ["--capture"]:
-        rows = [f"{json.dumps(name)}: {json.dumps({'argv': case['argv'], **cli_run(case['argv'])})}"
-                for name, case in SWEEP_CASES.items()]
-        SWEEP_GOLDEN.write_text("{\n" + ",\n".join(rows) + "\n}\n", encoding="utf-8")
+        runs = {name: {"argv": case["argv"], **cli_run(case["argv"])}
+                for name, case in SWEEP_CASES.items()}
+        SWEEP_GOLDEN.write_text(golden_text(runs), encoding="utf-8")
         sys.exit(0)
     bad = drift()
     total = sum(map(len, CASES.values()))

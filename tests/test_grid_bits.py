@@ -16,13 +16,12 @@ no pytest:
 
 from __future__ import annotations
 
-import json
-import sys
 from pathlib import Path
 
 from anticipated_surprise import ModelParams, Modulation
 from anticipated_surprise.cli import SCHEMES, SchemePoint, evaluate_grid, sweep_rows
 from anticipated_surprise.scaling import parse_scaling_mode
+from conftest import bit_script, drifted
 
 GOLDEN = Path(__file__).resolve().parent / "goldens" / "grid_bits.json"
 
@@ -78,24 +77,10 @@ def current() -> dict[str, list[str]]:
             for name, rows in cases()}
 
 
-def drift() -> list[str]:
-    """Names of the cases whose bits differ from the golden."""
-    golden = json.loads(GOLDEN.read_text(encoding="utf-8"))
-    now = current()
-    return [name for name in golden.keys() | now.keys() if golden.get(name) != now.get(name)]
-
-
 def test_grid_bits_match_golden():
-    assert drift() == []
+    assert drifted(GOLDEN, current()) == []
 
 
 if __name__ == "__main__":
-    if sys.argv[1:] == ["--capture"]:
-        rows = [f"{json.dumps(name)}: {json.dumps(bits)}" for name, bits in current().items()]
-        GOLDEN.write_text("{\n" + ",\n".join(rows) + "\n}\n", encoding="utf-8")
-        sys.exit(0)
-    bad = drift()
     now = current()
-    print(f"{len(bad)} of {len(now)} cases ({sum(map(len, now.values()))} rows) drift from "
-          f"{GOLDEN.name}" + (f": {', '.join(sorted(bad)[:10])}" if bad else ""))
-    sys.exit(1 if bad else 0)
+    bit_script(GOLDEN, now, f"{len(now)} cases ({sum(map(len, now.values()))} rows)")

@@ -7,7 +7,8 @@ those bits, ``test_goldens.py``, ``test_evaluate_bits.py``,
 ``test_closed_form_bits.py``, under each interpreter in
 ``~/.pyenv/versions/`` at 3.10 or later other than the running one, and
 asserts that none drifts.  The scripts need no pytest.  It skips where no
-such interpreter exists.
+such interpreter exists.  The CI ``bits`` job runs the same scripts under
+other interpreters, and a test here keeps its steps equal to ``SCRIPTS``.
 """
 
 from __future__ import annotations
@@ -24,6 +25,7 @@ ROOT = Path(__file__).resolve().parent.parent
 SCRIPTS = ("test_goldens.py", "test_evaluate_bits.py", "test_grid_bits.py",
            "test_spine_bits.py", "test_closed_form_bits.py")
 VERSIONS = Path.home() / ".pyenv" / "versions"
+WORKFLOW = ROOT / ".github" / "workflows" / "tests.yml"
 
 
 def interpreters() -> list[Path]:
@@ -58,3 +60,13 @@ def test_bit_checks_do_not_drift(python):
         for proc in procs.values():
             proc.kill()  # a no-op once it has exited
             proc.wait()
+
+
+def test_ci_bits_job_runs_the_scripts():
+    # the job's lines run from its own key to the next key at its indent
+    lines = WORKFLOW.read_text(encoding="utf-8").splitlines()
+    start = lines.index("  bits:") + 1
+    end = next((i for i in range(start, len(lines)) if re.match(r"  \S", lines[i])), len(lines))
+    steps = [m[1] for line in lines[start:end]
+             if (m := re.fullmatch(r"\s*- run: python tests/(\S+)", line))]
+    assert steps == list(SCRIPTS)

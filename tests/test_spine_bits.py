@@ -25,13 +25,12 @@ surprises.  The check needs no pytest:
 from __future__ import annotations
 
 import hashlib
-import json
-import sys
 from pathlib import Path
 
 from anticipated_surprise import Branch, Internal, ModelParams, Modulation, Terminal, validate
 from anticipated_surprise.cli import SCHEMES, SchemePoint
 from anticipated_surprise.scaling import parse_scaling_mode, scaled_evaluation
+from conftest import bit_script, drifted
 
 GOLDEN = Path(__file__).resolve().parent / "goldens" / "spine_bits.json"
 
@@ -117,23 +116,9 @@ def current() -> dict[str, list[str]]:
     return {name: digest(tree, params, mode) for name, tree, params, mode in cases()}
 
 
-def drift() -> list[str]:
-    """Names of the cases whose bits differ from the golden."""
-    golden = json.loads(GOLDEN.read_text(encoding="utf-8"))
-    now = current()
-    return [name for name in golden.keys() | now.keys() if golden.get(name) != now.get(name)]
-
-
 def test_spine_bits_match_golden():
-    assert drift() == []
+    assert drifted(GOLDEN, current()) == []
 
 
 if __name__ == "__main__":
-    if sys.argv[1:] == ["--capture"]:
-        rows = [f"{json.dumps(name)}: {json.dumps(bits)}" for name, bits in current().items()]
-        GOLDEN.write_text("{\n" + ",\n".join(rows) + "\n}\n", encoding="utf-8")
-        sys.exit(0)
-    bad = drift()
-    print(f"{len(bad)} of {len(current())} cases drift from {GOLDEN.name}"
-          + (f": {', '.join(sorted(bad)[:10])}" if bad else ""))
-    sys.exit(1 if bad else 0)
+    bit_script(GOLDEN, current())
