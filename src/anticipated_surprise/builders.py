@@ -1,9 +1,12 @@
 """Constructors for the resolution trees behind each standard scheme.
 
 Every builder returns a tree whose exhaustive evaluation is the
-reference value for the matching formula in ``closed_form``.  Builders
-check the numbers they take, trust a spec's own checks and do not walk
-the tree they return; validation happens in ``tree.validate``.
+reference value for the matching formula in ``closed_form``.  Each tree
+is a spine: a leaf and the levels piled on it (see ``tree.pile``).  Each
+``*_levels`` function checks the numbers it takes, trusts a spec's own
+checks and returns (leaf, levels); each ``build_*`` function piles them,
+and ``tree.stack`` of them gives the tree with its ``tree.validate``
+report, so the command line never walks a built tree to validate it.
 
 Nodes are immutable and may be shared within a tree: every level of a
 hazard chain reuses one loss branch ``Branch(p, Terminal(0.0))``.  A
@@ -19,28 +22,21 @@ from typing import Sequence
 
 from .closed_form import DualRiskSpec, DualScheme, TimingRiskSpec
 from .core import ValidationError, check_probability, check_whole
-from .tree import Branch, Internal, ResolutionNode, Terminal
+from .tree import Branch, Level, ResolutionNode, Terminal, pile
+
+#: A spine as a leaf and its levels, the bottom level first.
+Levels = tuple[Terminal, list[Level]]
 
 
 def build_binary_gamble(hi: float, lo: float, p: float) -> ResolutionNode:
     """Single-stage gamble: payoff hi with probability p, else lo."""
-    check_probability("p", p)
-    return Internal((Branch(p, Terminal(hi)), Branch(1.0 - p, Terminal(lo))))
+    return pile(*gamble_levels(hi, lo, p))
 
 
 def build_hazard_chain(p: float, n: int) -> ResolutionNode:
     """Depth-n survival chain: each level loses the unit reward with
     probability p; surviving all n levels pays 1."""
-    return _chain(check_probability("p", p), int(check_whole("n", n, 1)), Terminal(1.0))
-
-
-def _chain(p: float, n: int, node: ResolutionNode) -> ResolutionNode:
-    """Stack n hazard levels on node, each losing the reward with
-    probability p; all levels share one loss branch."""
-    loss, q = Branch(p, Terminal(0.0)), 1.0 - p
-    for _ in range(n):
-        node = Internal((loss, Branch(q, node)))
-    return node
+    return pile(*hazard_levels(p, n))
 
 
 def build_timing_risk(spec: TimingRiskSpec) -> ResolutionNode:
@@ -53,30 +49,66 @@ def build_timing_risk(spec: TimingRiskSpec) -> ResolutionNode:
     n is k_tr*delta_tr0, stages n+1 and n+2 sum to delta_late, and the
     expected value is p_tr*q**(n-1) + (1-p_tr)*q**(n+1).
     """
-    late = _chain(spec.p, 2, Terminal(1.0))
-    reveal = Internal(
-        (Branch(spec.p_tr, Terminal(1.0)), Branch(1.0 - spec.p_tr, late)),
-        surprise_weight=spec.k_tr,
-    )
-    return _chain(spec.p, int(spec.n) - 1, reveal)
+    return pile(*timing_levels(spec))
 
 
 def build_dual_scheme_a(spec: DualRiskSpec) -> ResolutionNode:
     """Dual risk with the success probability as its own stage, either
     after the hazard chain (chain survival leads into the success gamble)
-    or before it (the gamble's last branch leads into the chain: a spine)."""
-    if spec.scheme is DualScheme.SEPARATE_AFTER:
-        return _chain(spec.p, int(spec.n), build_binary_gamble(1.0, 0.0, spec.p_pr))
-    if spec.scheme is DualScheme.SEPARATE_BEFORE:
-        chain = _chain(spec.p, int(spec.n), Terminal(1.0))
-        return Internal((Branch(1.0 - spec.p_pr, Terminal(0.0)), Branch(spec.p_pr, chain)))
-    raise ValidationError(f"scheme {spec.scheme} is not a separate-resolution scheme")
+    or before it (the gamble's last branch leads into the chain)."""
+    return pile(*dual_a_levels(spec))
 
 
 def build_dual_scheme_b(spec: DualRiskSpec) -> ResolutionNode:
     """Dual risk folded into the chain: a plain hazard chain at the
-    inflated per-step hazard p' = 1 - p_pr**(1/n)*(1-p)."""
-    return _chain(spec.inflated_hazard(), int(spec.n), Terminal(1.0))
+    inflated per-step hazard p' = 1 - p_pr**(1/n)*(1-p); the spec must be
+    of the INCORPORATED scheme, under which it checks p'."""
+    return pile(*dual_b_levels(spec))
+
+
+def gamble_levels(hi: float, lo: float, p: float) -> Levels:
+    """``build_binary_gamble``'s leaf and levels."""
+    check_probability("p", p)
+    return Terminal(lo), [_gamble(hi, p)]
+
+
+def hazard_levels(p: float, n: int) -> Levels:
+    """``build_hazard_chain``'s leaf and levels."""
+    return Terminal(1.0), [_hazard(check_probability("p", p), int(check_whole("n", n, 1)))]
+
+
+def timing_levels(spec: TimingRiskSpec) -> Levels:
+    """``build_timing_risk``'s leaf and levels."""
+    reveal = Branch(spec.p_tr, Terminal(1.0)), 1.0 - spec.p_tr, spec.k_tr, 1
+    return Terminal(1.0), [_hazard(spec.p, 2), reveal, _hazard(spec.p, int(spec.n) - 1)]
+
+
+def dual_a_levels(spec: DualRiskSpec) -> Levels:
+    """``build_dual_scheme_a``'s leaf and levels."""
+    if spec.scheme is DualScheme.SEPARATE_AFTER:
+        return Terminal(0.0), [_gamble(1.0, spec.p_pr), _hazard(spec.p, int(spec.n))]
+    if spec.scheme is DualScheme.SEPARATE_BEFORE:
+        gate = Branch(1.0 - spec.p_pr, Terminal(0.0)), spec.p_pr, 1.0, 1
+        return Terminal(1.0), [_hazard(spec.p, int(spec.n)), gate]
+    raise ValidationError(f"scheme {spec.scheme} is not a separate-resolution scheme")
+
+
+def dual_b_levels(spec: DualRiskSpec) -> Levels:
+    """``build_dual_scheme_b``'s leaf and levels."""
+    if spec.scheme is not DualScheme.INCORPORATED:
+        raise ValidationError(f"scheme {spec.scheme} is not the incorporated scheme")
+    return Terminal(1.0), [_hazard(spec.inflated_hazard(), int(spec.n))]
+
+
+def _gamble(hi: float, p: float) -> Level:
+    """One level: payoff hi with probability p, else on down with 1 - p."""
+    return Branch(p, Terminal(hi)), 1.0 - p, 1.0, 1
+
+
+def _hazard(p: float, n: int) -> Level:
+    """n hazard levels, each losing the reward with probability p; all
+    share one loss branch."""
+    return Branch(p, Terminal(0.0)), 1.0 - p, 1.0, n
 
 
 @dataclass(frozen=True)
@@ -112,9 +144,10 @@ class ScenarioSpec:
 
 def build_scenario(spec: ScenarioSpec) -> ResolutionNode:
     """Chain the scenario's steps into a tree, last step first."""
-    node: ResolutionNode = Terminal(float(spec.final_payoff))
-    for prob, payoff in zip(
-        reversed(spec.step_probabilities), reversed(spec.step_payoffs)
-    ):
-        node = Internal((Branch(prob, Terminal(float(payoff))), Branch(1.0 - prob, node)))
-    return node
+    return pile(*scenario_levels(spec))
+
+
+def scenario_levels(spec: ScenarioSpec) -> Levels:
+    """``build_scenario``'s leaf and levels: a level per step, last step first."""
+    steps = zip(reversed(spec.step_probabilities), reversed(spec.step_payoffs))
+    return Terminal(float(spec.final_payoff)), [_gamble(float(x), prob) for prob, x in steps]

@@ -33,13 +33,7 @@ import sys
 from dataclasses import dataclass, field, fields, replace
 from typing import Callable, Iterator, NamedTuple, Sequence
 
-from .builders import (
-    build_binary_gamble,
-    build_dual_scheme_a,
-    build_dual_scheme_b,
-    build_hazard_chain,
-    build_timing_risk,
-)
+from .builders import dual_a_levels, dual_b_levels, gamble_levels, hazard_levels, timing_levels
 from .closed_form import (
     DualRiskSpec,
     DualScheme,
@@ -53,9 +47,9 @@ from .closed_form import (
 )
 from .core import (ModelParams, Modulation, ValidationError, check_nonnegative, check_whole,
                    is_whole, utility)
-from .scaling import (AffineTransform, PartialScaling, ScalingMode, parse_scaling_mode,
-                      reads_payoff_range, scaled_evaluation)
-from .tree import ResolutionNode, Spine, load_tree, validate
+from .scaling import (AffineTransform, PartialScaling, ScalingMode, _scaled_evaluation,
+                      parse_scaling_mode, reads_payoff_range)
+from .tree import ResolutionNode, Spine, ValidationReport, load_tree, stack, validate
 
 
 def fmt(value: float) -> str:
@@ -111,12 +105,16 @@ class SchemePoint:
 POINT_FIELDS = tuple(f.name for f in fields(SchemePoint) if "help" in f.metadata)
 
 
+#: A tree and its ``tree.validate`` report.
+Built = tuple[ResolutionNode, ValidationReport]
+
+
 class Scheme(NamedTuple):
     """A built-in scheme.
 
     fields: the point fields it reads: its required flags, in reporting
         order, its sweep targets and the only point flags it takes
-    build: the point's tree
+    build: the point's tree and its ``tree.validate`` report
     column, ratio: its sweeps' ratio column, and
         ratio(point, params, k2_prob, u, memo), u being the point's unscaled
         utility and memo a dict that lives for one sweep or one figure, all
@@ -132,7 +130,7 @@ class Scheme(NamedTuple):
     """
 
     fields: tuple[str, ...]
-    build: Callable[[SchemePoint], ResolutionNode]
+    build: Callable[[SchemePoint], Built]
     column: str | None = None
     ratio: Callable[..., float] | None = None
     ratio_flags: tuple[str, ...] = ()
@@ -140,7 +138,7 @@ class Scheme(NamedTuple):
     closed: Callable[[SchemePoint, ModelParams], tuple[float, float]] | None = None
 
 
-def _dual(build: Callable[[DualRiskSpec], ResolutionNode], scheme: DualScheme) -> Scheme:
+def _dual(build: Callable[[DualRiskSpec], Built], scheme: DualScheme) -> Scheme:
     """A dual-risk entry: build a DualRiskSpec of the point under scheme."""
     def spec(pt: SchemePoint) -> DualRiskSpec:
         return DualRiskSpec(pt.p, pt.n, pt.p_pr, scheme)
@@ -165,27 +163,28 @@ def _timing_closed(pt: SchemePoint, params: ModelParams) -> tuple[float, float]:
     return _closed(comps.delta_total, comps.e_tr, params)
 
 
-# Entries call builders, closed forms and ratio helpers by their module-level
-# names at call time, so rebinding those names (as a tracer does) reaches them.
+# Entries call stack, the builders' levels, closed forms and ratio helpers by
+# their module-level names at call time, so rebinding those names (as a
+# tracer does) reaches them.  Each tree comes with its report from stack.
 SCHEMES = {
-    "gamble": Scheme(("hi", "lo", "p"), lambda pt: build_binary_gamble(pt.hi, pt.lo, pt.p)),
+    "gamble": Scheme(("hi", "lo", "p"), lambda pt: stack(*gamble_levels(pt.hi, pt.lo, pt.p))),
     "hazard": Scheme(
-        ("p", "n"), lambda pt: build_hazard_chain(pt.p, pt.n), nests_from=1,
+        ("p", "n"), lambda pt: stack(*hazard_levels(pt.p, pt.n)), nests_from=1,
         closed=lambda pt, params: (hazard_total_surprise(HazardSpec(pt.p, pt.n), params),
                                    discount_factor(HazardSpec(pt.p, pt.n), params)),
     ),
     "timing": Scheme(
         ("p", "n", "p_tr", "k_tr"),
-        lambda pt: build_timing_risk(TimingRiskSpec(pt.p, pt.n, pt.p_tr, pt.k_tr)),
+        lambda pt: stack(*timing_levels(TimingRiskSpec(pt.p, pt.n, pt.p_tr, pt.k_tr))),
         "timing_ratio",
         lambda pt, params, k2_prob, u, memo: timing_ratio_point(pt, params, u),
         nests_from=2,
         closed=_timing_closed,
     ),
-    "dual-a-after": _dual(lambda spec: build_dual_scheme_a(spec),
+    "dual-a-after": _dual(lambda spec: stack(*dual_a_levels(spec)),
                           DualScheme.SEPARATE_AFTER)._replace(nests_from=1),
-    "dual-a-before": _dual(lambda spec: build_dual_scheme_a(spec), DualScheme.SEPARATE_BEFORE),
-    "dual-b": _dual(lambda spec: build_dual_scheme_b(spec), DualScheme.INCORPORATED),
+    "dual-a-before": _dual(lambda spec: stack(*dual_a_levels(spec)), DualScheme.SEPARATE_BEFORE),
+    "dual-b": _dual(lambda spec: stack(*dual_b_levels(spec)), DualScheme.INCORPORATED),
 }
 
 
@@ -195,14 +194,19 @@ def scheme_of(name: str) -> Scheme:
         path = name.removeprefix("tree:")
         if not path:
             raise ValidationError("tree scheme needs a path: tree:<path>")
-        return Scheme((), lambda pt: load_tree(path))
+        return Scheme((), lambda pt: _validated(load_tree(path)))
     if name not in SCHEMES:
         raise ValidationError(f"unknown scheme {name!r}; expected one of "
                               f"{', '.join(SCHEMES)} or tree:<path>")
     return SCHEMES[name]
 
 
-def build_scheme_tree(point: SchemePoint) -> ResolutionNode:
+def _validated(node: ResolutionNode) -> Built:
+    return node, validate(node)
+
+
+def build_scheme_tree(point: SchemePoint) -> Built:
+    """The point's tree and its ``tree.validate`` report."""
     scheme = scheme_of(point.scheme)
     for name in scheme.fields:
         if getattr(point, name) is None:
@@ -214,7 +218,7 @@ def evaluate_point(
     point: SchemePoint, params: ModelParams, mode: ScalingMode
 ) -> tuple[float, float, float]:
     """(raw expected value, surprise of the scaled tree, final utility)."""
-    result = scaled_evaluation(build_scheme_tree(point), params, mode)
+    result = _scaled_evaluation(*build_scheme_tree(point), params, mode)
     return result.raw_expected_value, result.scaled.total_surprise, result.utility
 
 
@@ -225,8 +229,8 @@ def evaluate_grid(
     target set to each value, in list order; a bad value raises when reached.
 
     Where target is n, fixed's scheme nests in n, mode reads no payoff
-    range and every value is a valid n, the rows share one build and one
-    validation: those of the tree at the largest value, N.  That tree is a
+    range and every value is a valid n, the rows share one build and its
+    report: those of the tree at the largest value, N.  That tree is a
     spine (see ``Scheme.nests_from``), and the tree at n is its node N - n
     levels down the last branches, so a ``tree.Spine`` of it under the
     grid's one params and scale gives each row from flat lists, computing
@@ -248,9 +252,9 @@ def evaluate_grid(
             continue
         if spine is None:
             depth = int(max(values))
-            tree = build_scheme_tree(SchemePoint(**{**attrs, "n": depth}))
+            _, report = build_scheme_tree(SchemePoint(**{**attrs, "n": depth}))
             # mode is a fixed map here: scaled_evaluation's transform
-            spine = Spine(validate(tree), params, mode.scale)
+            spine = Spine(report, params, mode.scale)
         yield point, _spine_point(spine, depth - value, mode)
 
 
@@ -297,9 +301,9 @@ def _refuse_subnormal(point: SchemePoint, **columns: float) -> None:
 
 def timing_ratio_point(point: SchemePoint, params: ModelParams, u: float) -> float:
     """Tree-based timing-lottery utility u, point's unscaled utility, over
-    the fixed-delay closed form."""
-    spec = TimingRiskSpec(point.p, point.n, point.p_tr, point.k_tr)
-    return _ratio(u, discount_factor(HazardSpec(spec.p, mean_delay(spec)), params), point)
+    the fixed-delay closed form.  The mean delay reads the point's n and
+    p_tr, which the row's own build checked."""
+    return _ratio(u, discount_factor(HazardSpec(point.p, mean_delay(point)), params), point)
 
 
 def dual_ratio_point(point: SchemePoint, params: ModelParams, k2_prob: float,

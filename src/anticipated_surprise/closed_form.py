@@ -200,7 +200,8 @@ class TimingComponents:
 
 
 def mean_delay(spec: TimingRiskSpec) -> float:
-    """Probability-weighted delay p_tr*(n-1) + (1-p_tr)*(n+1)."""
+    """Probability-weighted delay p_tr*(n-1) + (1-p_tr)*(n+1); it reads
+    only spec's p_tr and n."""
     return spec.p_tr * (spec.n - 1) + (1.0 - spec.p_tr) * (spec.n + 1)
 
 

@@ -33,6 +33,10 @@ class Modulation(Enum):
     EXPONENTIAL_NEGATIVE = "exponential-negative"
 
 
+#: Read once: reading a member off its enum class costs several plain reads.
+_HYPERBOLIC = Modulation.HYPERBOLIC
+
+
 @dataclass(frozen=True)
 class ModelParams:
     """Scalar parameter bundle.
@@ -117,7 +121,7 @@ def _modulation(delta: float, k1: float, k2: float, modulation: Modulation) -> f
     """surprise_modulation on a finite delta and checked gains."""
     if delta >= 0.0:
         return math.exp(k1 * delta)
-    if modulation is Modulation.HYPERBOLIC:
+    if modulation is _HYPERBOLIC:
         return 1.0 / (1.0 + k2 * -delta)
     return math.exp(k2 * delta)
 

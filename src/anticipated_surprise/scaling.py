@@ -13,7 +13,8 @@ import math
 from dataclasses import dataclass
 
 from .core import ModelParams, ValidationError
-from .tree import EvaluationResult, ResolutionNode, Terminal, _fold, _rebuilt, _result, validate
+from .tree import (EvaluationResult, ResolutionNode, Terminal, ValidationReport, _fold, _rebuilt,
+                   _result, validate)
 
 
 @dataclass(frozen=True)
@@ -142,7 +143,12 @@ def scaled_evaluation(
     own surprise and utility are never computed, so payoffs too large for
     them still evaluate once normalized.
     """
-    report = validate(node)
+    return _scaled_evaluation(node, validate(node), params, mode)
+
+
+def _scaled_evaluation(node: ResolutionNode, report: ValidationReport, params: ModelParams,
+                       mode: ScalingMode) -> ScaledEvaluation:
+    """``scaled_evaluation`` of node from its ``validate`` report."""
     transform = _transform_for(report.payoff_min, report.payoff_max, mode)
     scaled = _result(node, report, params, transform.scale, transform.offset)
     return ScaledEvaluation(

@@ -22,7 +22,7 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass, field
 from math import inf, isfinite, nan
-from typing import Callable, Iterable, Union
+from typing import Callable, Iterable, Sequence, Union
 
 from .core import ModelParams, ValidationError, surprise_kernel, utility
 
@@ -62,7 +62,8 @@ ResolutionNode = Union[Terminal, Internal]
 
 @dataclass
 class ValidationReport:
-    """Outcome of ``validate``'s walk.
+    """Outcome of ``validate``'s walk; ``stack`` fills the same report for
+    the spine it builds, without a walk.
 
     Renormalized paths had probability sums off from 1 by at most
     PROBABILITY_SUM_TOL and are divided through by their exact sum during
@@ -239,6 +240,67 @@ def _where(nodes: list[Internal], leads: dict[int, tuple[int, int]], k: int, *in
     """Path of node k of validate's walk, then through indices; k = -1 is above the root."""
     trail = _trail(nodes, leads, k) + list(indices) if k >= 0 else []
     return "root" + "".join(f".branches[{i}]" for i in trail)
+
+
+#: One level of a spine (see ``pile``): (side, q, weight, reps), reps
+#: nodes of surprise weight ``weight``, each with two branches: side, which
+#: ends in a terminal, then one of probability q to the node below.
+Level = tuple[Branch, float, float, int]
+
+
+def pile(leaf: Terminal, levels: Iterable[Level]) -> ResolutionNode:
+    """The spine of levels stacked on leaf, the bottom level first."""
+    node: ResolutionNode = leaf
+    for side, q, weight, reps in levels:
+        for _ in range(reps):
+            node = Internal((side, Branch(q, node)), weight)
+    return node
+
+
+def stack(leaf: Terminal, levels: Sequence[Level]) -> tuple[ResolutionNode, ValidationReport]:
+    """``pile(leaf, levels)`` and its ``validate`` report, filled on the way up.
+
+    A level is checked once, however often it repeats.  Each float is
+    validate's, made in validate's order: a node's value is 0.0 + p * x,
+    p and x being its side's probability and payoff, then + q * the value
+    below; the payoff range keeps, of equal payoffs, the last met top-down,
+    down to the sign of a zero.  Where validate could refuse the tree or
+    renormalize a node, or a number is not a float, the tree is piled
+    again and the report is validate's own, so every error is validate's.
+    """
+    node = leaf
+    value = lo = hi = leaf.payoff
+    fine = type(value) is float
+    count, nodes, survivals, weights, table = 1, [], [], [], {}
+    for side, q, weight, reps in levels:
+        p, x = side.probability, side.child.payoff
+        # validate's checks, and a total 0.0 + p + q of exactly 1.0: dividing by it changes no value
+        fine = (fine and type(p) is type(q) is type(x) is type(weight) is float
+                and 0.0 < p <= 1.0 and 0.0 < q <= 1.0 and 0.0 + p + q == 1.0
+                and 0.0 <= weight < inf)
+        if not fine:
+            break
+        if x < lo:  # validate meets x before the payoffs below, so an equal one wins
+            lo = x
+        if x > hi:
+            hi = x
+        s = 0.0 + p * x
+        for _ in range(reps):
+            node = Internal((side, Branch(q, node)), weight)
+            value = s + q * value
+            table[id(node)] = value
+            nodes.append(node)
+        count += 2 * reps
+        survivals += [q] * reps
+        weights += [weight] * reps
+    if not (fine and isfinite(value)):  # a payoff that is not finite leaves the root's value so
+        node = pile(leaf, levels)
+        return node, validate(node)
+    nodes.reverse()
+    survivals.reverse()
+    weights.reverse()
+    return node, ValidationReport(count, len(nodes), [], lo, hi, value, table,
+                                  (nodes, [1.0] * len(nodes), survivals, weights))
 
 
 def expected_value(node: ResolutionNode) -> float:

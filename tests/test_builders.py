@@ -121,6 +121,15 @@ class TestDualSchemes:
         with pytest.raises(ValidationError):
             build_dual_scheme_a(DualRiskSpec(0.03, 4, 0.5, DualScheme.INCORPORATED))
 
+    @pytest.mark.parametrize("scheme", [DualScheme.SEPARATE_AFTER, DualScheme.SEPARATE_BEFORE])
+    def test_scheme_b_rejects_separate_tags(self, scheme):
+        # the spec checks p' only under INCORPORATED; here p' rounds to 0
+        spec = DualRiskSpec(1e-17, 2, 0.9999999999999999, scheme)
+        assert spec.inflated_hazard() == 0.0
+        with pytest.raises(ValidationError) as info:
+            build_dual_scheme_b(spec)
+        assert str(info.value) == f"scheme {scheme} is not the incorporated scheme"
+
     def test_near_sure_success_approaches_plain_chain(self):
         spec = DualRiskSpec(0.03, 4, 1.0 - 1e-12, DualScheme.SEPARATE_AFTER)
         got = evaluate(build_dual_scheme_a(spec), P)

@@ -837,7 +837,24 @@ def count_walks(monkeypatch) -> list:
     return calls
 
 
-#: (figure id, validation walks, kernel calls) of one figure_rows call.
+def count_builds(monkeypatch) -> list:
+    """The list each build of a built-in scheme's tree from now on appends
+    its leaf to; ``stack`` is rebound in the cli module, as a tracer does."""
+    from anticipated_surprise import cli
+
+    calls = []
+    original = cli.stack
+
+    def counting(leaf, levels):
+        calls.append(leaf)
+        return original(leaf, levels)
+
+    monkeypatch.setattr(cli, "stack", counting)
+    return calls
+
+
+#: (figure id, builds, kernel calls) of one figure_rows call; no point walks
+#: its tree, since each build comes with its report.
 FIGURE_WORK = [
     # a tree per point, two branches each
     ("fig1", 99, 198), ("figA3", 150, 300),
@@ -862,28 +879,20 @@ class TestHelpers:
     )
     @pytest.mark.parametrize("mode", ["none", "full", "partial:0.5"])
     def test_evaluate_point_walks_each_tree_once(self, monkeypatch, point, mode):
-        from anticipated_surprise import scaling, tree
+        # one build, whose report spares the point a validation walk
         from anticipated_surprise.scaling import parse_scaling_mode
 
-        calls = []
-        original = tree.validate
-
-        def counting(node):
-            calls.append(node)
-            return original(node)
-
-        for module in (tree, scaling):
-            monkeypatch.setattr(module, "validate", counting)
+        builds, walks = count_builds(monkeypatch), count_walks(monkeypatch)
         evaluate_point(point, ModelParams(), parse_scaling_mode(mode))
-        assert len(calls) == 1
+        assert (len(builds), len(walks)) == (1, 0)
 
     @pytest.mark.parametrize(
-        "argv,walks",
+        "argv,builds",
         [
             # one shared n-grid tree; the dual ratio adds U_t per row and U_p once
             (["--scheme", "timing", "--p-tr", "0.5", "--k-tr", "10"], 1),
             (["--scheme", "dual-a-after", "--p-pr", "0.7"], 7),
-            # a range-reading scaling walks each row's tree; the ratio's
+            # a range-reading scaling builds each row's tree; the ratio's
             # unscaled utilities still come from one shared tree
             (["--scheme", "timing", "--p-tr", "0.5", "--scaling", "full"], 6),
             (["--scheme", "dual-a-after", "--p-pr", "0.7", "--scaling", "partial:0.5"], 12),
@@ -891,28 +900,29 @@ class TestHelpers:
             (["--scheme", "dual-b", "--p-pr", "0.7"], 11),
         ],
     )
-    def test_sweep_walks_each_tree_once_per_row(self, monkeypatch, capsys, argv, walks):
-        calls = count_walks(monkeypatch)
+    def test_sweep_walks_each_tree_once_per_row(self, monkeypatch, capsys, argv, builds):
+        built, walks = count_builds(monkeypatch), count_walks(monkeypatch)
         code, out, _ = run(capsys, ["sweep", *argv, "--p", "0.03", "--target", "n",
                                     "--values", "2,3,4,5,6"])
         assert code == 0 and len(out.strip().split("\n")) == 6
-        assert len(calls) == walks
+        assert (len(built), len(walks)) == (builds, 0)
 
     @pytest.mark.parametrize("scheme", ["dual-a-after", "dual-b"])
     def test_p_pr_sweep_walks_the_hazard_denominator_once(self, monkeypatch, capsys, scheme):
         # a tree per row, U_p per distinct p_pr, and U_t once at the one (p, n)
-        calls = count_walks(monkeypatch)
+        builds, walks = count_builds(monkeypatch), count_walks(monkeypatch)
         code, out, _ = run(capsys, ["sweep", "--scheme", scheme, "--p", "0.03", "--n", "4",
                                     "--target", "p-pr", "--values", "0.3,0.5,0.7,0.8,0.9"])
         assert code == 0 and len(out.strip().split("\n")) == 6
-        assert len(calls) == 11
+        assert (len(builds), len(walks)) == (11, 0)
 
-    @pytest.mark.parametrize("fig_id,walks,kernels", FIGURE_WORK,
-                             ids=[f"{fig_id}-{walks}" for fig_id, walks, _ in FIGURE_WORK])
-    def test_figure_walks_each_tree_once_per_grid(self, monkeypatch, fig_id, walks, kernels):
-        calls, kernel_calls = count_walks(monkeypatch), count_kernel(monkeypatch)
+    @pytest.mark.parametrize("fig_id,builds,kernels", FIGURE_WORK,
+                             ids=[f"{fig_id}-{builds}" for fig_id, builds, _ in FIGURE_WORK])
+    def test_figure_walks_each_tree_once_per_grid(self, monkeypatch, fig_id, builds, kernels):
+        built, walks = count_builds(monkeypatch), count_walks(monkeypatch)
+        kernel_calls = count_kernel(monkeypatch)
         figure_rows(fig_id)
-        assert (len(calls), len(kernel_calls)) == (walks, kernels)
+        assert (len(built), len(walks), len(kernel_calls)) == (builds, 0, kernels)
 
     @pytest.mark.parametrize("fig_id", ["fig7", "figA2"])
     def test_dual_figure_builds_u_p_params_once(self, monkeypatch, fig_id):
@@ -1003,7 +1013,7 @@ class TestNGrid:
         entry = SCHEMES[scheme]
         point = SchemePoint(scheme, p=0.03, p_tr=0.3, k_tr=4.0, p_pr=0.6)
         first = entry.nests_from or 2
-        trees = [entry.build(replace(point, n=n)) for n in range(first, first + 5)]
+        trees = [entry.build(replace(point, n=n))[0] for n in range(first, first + 5)]
         descents = [big.branches[-1].child == small for big, small in zip(trees[1:], trees)]
         assert descents == [entry.nests_from is not None] * 4
         if entry.nests_from is not None:
@@ -1059,8 +1069,8 @@ class TestNGrid:
         Scheme.nests_from) included: each internal node lies on the path of
         last branches, each other branch ends in a terminal, and validate
         reports that path."""
-        tree = SCHEMES[scheme].build(SchemePoint(scheme, p=0.03, n=n, hi=2.0, lo=-1.0, p_tr=0.3,
-                                                 k_tr=4.0, p_pr=0.6))
+        tree, _ = SCHEMES[scheme].build(SchemePoint(scheme, p=0.03, n=n, hi=2.0, lo=-1.0,
+                                                    p_tr=0.3, k_tr=4.0, p_pr=0.6))
         path, node = [], tree
         while isinstance(node, Internal):
             assert all(isinstance(br.child, Terminal) for br in node.branches[:-1])

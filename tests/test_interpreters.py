@@ -3,8 +3,8 @@
 The evaluator sums floats left to right from 0.0 so that its bits do not
 depend on the interpreter.  This test runs the five scripts that pin
 those bits, ``test_goldens.py``, ``test_evaluate_bits.py``,
-``test_grid_bits.py``, ``test_spine_bits.py`` and
-``test_closed_form_bits.py``, under each interpreter in
+``test_grid_bits.py``, ``test_spine_bits.py``, ``test_closed_form_bits.py``
+and ``test_stack_bits.py``, under each interpreter in
 ``~/.pyenv/versions/`` at 3.10 or later other than the running one, and
 asserts that none drifts.  The scripts need no pytest.  It skips where no
 such interpreter exists.  The CI ``bits`` job runs the same scripts under
@@ -23,7 +23,7 @@ import pytest
 
 ROOT = Path(__file__).resolve().parent.parent
 SCRIPTS = ("test_goldens.py", "test_evaluate_bits.py", "test_grid_bits.py",
-           "test_spine_bits.py", "test_closed_form_bits.py")
+           "test_spine_bits.py", "test_closed_form_bits.py", "test_stack_bits.py")
 VERSIONS = Path.home() / ".pyenv" / "versions"
 WORKFLOW = ROOT / ".github" / "workflows" / "tests.yml"
 
@@ -47,7 +47,7 @@ def test_bit_checks_do_not_drift(python):
         pytest.skip(f"no other CPython >= 3.10 in {VERSIONS}")
     env = {**os.environ, "PYTHONDONTWRITEBYTECODE": "1",
            "PYTHONPATH": os.pathsep.join(str(ROOT / folder) for folder in ("src", "tests"))}
-    # the five scripts run side by side, one process each
+    # the scripts run side by side, one process each
     procs = {script: subprocess.Popen([str(python), str(ROOT / "tests" / script)], env=env,
                                       cwd=ROOT, stdout=subprocess.PIPE, stderr=subprocess.PIPE,
                                       text=True) for script in SCRIPTS}

@@ -83,7 +83,7 @@ def test_tree_matches_scheme_closed_form(name):
     @hypothesis.settings(max_examples=300, derandomize=True, database=None, deadline=None)
     @hypothesis.given(points(name), PARAMS)
     def check(point, params):
-        tree = evaluate(entry.build(point), params)
+        tree = evaluate(entry.build(point)[0], params)
         delta, utility = entry.closed(point, params)
         assert abs(delta - tree.total_surprise) <= 1e-9, (point, params, delta, tree)
         assert abs(utility - tree.utility) <= 1e-9, (point, params, utility, tree)

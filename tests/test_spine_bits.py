@@ -82,7 +82,7 @@ def built_spines():
 def cases():
     """(name, tree, params name, scaling) for every golden case, in a fixed order."""
     for scheme, point in POINTS.items():
-        tree = SCHEMES[scheme].build(point)
+        tree, _ = SCHEMES[scheme].build(point)
         for mode in ("none", "full", "partial:0.6", "scale:3"):
             for params in PARAMS:
                 yield f"{scheme}-{mode}-{params}", tree, params, mode
@@ -90,7 +90,7 @@ def cases():
         for mode in ("none", "full", "partial:0.6", "scale:3"):
             yield f"{name}-{mode}", tree, "exp", mode
     for p in P_SWEEP:
-        tree = SCHEMES["hazard"].build(SchemePoint("hazard", p=p, n=400))
+        tree, _ = SCHEMES["hazard"].build(SchemePoint("hazard", p=p, n=400))
         yield f"hazard-p{p}-n400", tree, "k2=10", "none"
 
 

@@ -299,7 +299,7 @@ class TestMartingaleAndDecomposition:
                   for name, entry in SCHEMES.items() if entry.nests_from is not None
                   for k_tr in (3.0, 0.0)]
         for point in points:
-            report = validate(SCHEMES[point.scheme].build(point))
+            _, report = SCHEMES[point.scheme].build(point)
             nodes = report.spine[0]
             assert len(nodes) == report.max_depth
             spine = Spine(report, params, scale)
@@ -321,8 +321,8 @@ class TestMartingaleAndDecomposition:
 
         for name, entry in SCHEMES.items():
             for k_tr in (3.0, 0.0):
-                tree = entry.build(SchemePoint(name, p=0.03, n=30, hi=2.0, lo=-1.0, p_tr=0.3,
-                                               k_tr=k_tr, p_pr=0.6))
+                tree, _ = entry.build(SchemePoint(name, p=0.03, n=30, hi=2.0, lo=-1.0, p_tr=0.3,
+                                                  k_tr=k_tr, p_pr=0.6))
                 report = walk_report(tree)
                 got = scaled_evaluation(tree, params, parse_scaling_mode(mode))
                 t = got.transform
