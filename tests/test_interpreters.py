@@ -3,8 +3,9 @@
 The evaluator sums floats left to right from 0.0 so that its bits do not
 depend on the interpreter.  This test runs the five scripts that pin
 those bits, ``test_goldens.py``, ``test_evaluate_bits.py``,
-``test_grid_bits.py``, ``test_spine_bits.py``, ``test_closed_form_bits.py``
-and ``test_stack_bits.py``, under each interpreter in
+``test_grid_bits.py``, ``test_spine_bits.py`` and
+``test_closed_form_bits.py``, and ``test_stack_bits.py``, which checks
+the built trees' reports against ``validate``, under each interpreter in
 ``~/.pyenv/versions/`` at 3.10 or later other than the running one, and
 asserts that none drifts.  The scripts need no pytest.  It skips where no
 such interpreter exists.  The CI ``bits`` job runs the same scripts under
