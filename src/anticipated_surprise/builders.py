@@ -4,9 +4,10 @@ Every builder returns a tree whose exhaustive evaluation is the
 reference value for the matching formula in ``closed_form``.  Each tree
 is a spine: a leaf and the levels piled on it (see ``tree.pile``).  Each
 ``*_levels`` function checks the numbers it takes, trusts a spec's own
-checks and returns (leaf, levels); each ``build_*`` function piles them,
-and ``tree.stack`` of them gives the tree with its ``tree.validate``
-report, so the command line never walks a built tree to validate it.
+checks and returns (leaf, levels); each ``build_*`` function piles them
+into the tree, while ``tree.stack`` of them gives the tree's
+``tree.validate`` report without building a node, so the command line
+builds no built-in tree.
 
 Nodes are immutable and may be shared within a tree: every level of a
 hazard chain reuses one loss branch ``Branch(p, Terminal(0.0))``.  A

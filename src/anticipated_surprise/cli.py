@@ -33,7 +33,8 @@ import sys
 from dataclasses import dataclass, field, fields, replace
 from typing import Callable, Iterator, NamedTuple, Sequence
 
-from .builders import dual_a_levels, dual_b_levels, gamble_levels, hazard_levels, timing_levels
+from .builders import (Levels, dual_a_levels, dual_b_levels, gamble_levels, hazard_levels,
+                       timing_levels)
 from .closed_form import (
     DualRiskSpec,
     DualScheme,
@@ -105,8 +106,10 @@ class SchemePoint:
 POINT_FIELDS = tuple(f.name for f in fields(SchemePoint) if "help" in f.metadata)
 
 
-#: A tree and its ``tree.validate`` report.
-Built = tuple[ResolutionNode, ValidationReport]
+#: A tree and its ``tree.validate`` report; a built-in scheme's point has no
+#: tree, only the report that ``tree.stack`` fills, whose flat spine is all
+#: that evaluation reads.
+Built = tuple[ResolutionNode | None, ValidationReport]
 
 
 class Scheme(NamedTuple):
@@ -114,7 +117,8 @@ class Scheme(NamedTuple):
 
     fields: the point fields it reads: its required flags, in reporting
         order, its sweep targets and the only point flags it takes
-    build: the point's tree and its ``tree.validate`` report
+    build: the point's ``Built``: for a built-in scheme, None and the
+        ``tree.stack`` report of its builder's levels
     column, ratio: its sweeps' ratio column, and
         ratio(point, params, k2_prob, u, memo), u being the point's unscaled
         utility and memo a dict that lives for one sweep or one figure, all
@@ -124,7 +128,8 @@ class Scheme(NamedTuple):
         at n + 1 is then one level whose last branch leads to the tree at
         n and whose other branches end in terminals, so every tree of the
         scheme is a spine: its internal nodes all lie on the path of last
-        branches (see evaluate_grid and tree.Spine)
+        branches, and the report at n is the one at n + 1 a level down its
+        flat spine (see evaluate_grid and tree.Spine)
     closed: closed(point, params), the point's (total surprise, utility)
         from the closed forms, which the tree must match; None if it has none
     """
@@ -163,28 +168,34 @@ def _timing_closed(pt: SchemePoint, params: ModelParams) -> tuple[float, float]:
     return _closed(comps.delta_total, comps.e_tr, params)
 
 
+def _stacked(levels: Levels) -> Built:
+    """No tree and the ``tree.stack`` report of a builder's leaf and levels."""
+    return None, stack(*levels)
+
+
 # Entries call stack, the builders' levels, closed forms and ratio helpers by
 # their module-level names at call time, so rebinding those names (as a
-# tracer does) reaches them.  Each tree comes with its report from stack.
+# tracer does) reaches them.  No entry builds a node: stack fills the report.
 SCHEMES = {
-    "gamble": Scheme(("hi", "lo", "p"), lambda pt: stack(*gamble_levels(pt.hi, pt.lo, pt.p))),
+    "gamble": Scheme(("hi", "lo", "p"), lambda pt: _stacked(gamble_levels(pt.hi, pt.lo, pt.p))),
     "hazard": Scheme(
-        ("p", "n"), lambda pt: stack(*hazard_levels(pt.p, pt.n)), nests_from=1,
+        ("p", "n"), lambda pt: _stacked(hazard_levels(pt.p, pt.n)), nests_from=1,
         closed=lambda pt, params: (hazard_total_surprise(HazardSpec(pt.p, pt.n), params),
                                    discount_factor(HazardSpec(pt.p, pt.n), params)),
     ),
     "timing": Scheme(
         ("p", "n", "p_tr", "k_tr"),
-        lambda pt: stack(*timing_levels(TimingRiskSpec(pt.p, pt.n, pt.p_tr, pt.k_tr))),
+        lambda pt: _stacked(timing_levels(TimingRiskSpec(pt.p, pt.n, pt.p_tr, pt.k_tr))),
         "timing_ratio",
         lambda pt, params, k2_prob, u, memo: timing_ratio_point(pt, params, u),
         nests_from=2,
         closed=_timing_closed,
     ),
-    "dual-a-after": _dual(lambda spec: stack(*dual_a_levels(spec)),
+    "dual-a-after": _dual(lambda spec: _stacked(dual_a_levels(spec)),
                           DualScheme.SEPARATE_AFTER)._replace(nests_from=1),
-    "dual-a-before": _dual(lambda spec: stack(*dual_a_levels(spec)), DualScheme.SEPARATE_BEFORE),
-    "dual-b": _dual(lambda spec: stack(*dual_b_levels(spec)), DualScheme.INCORPORATED),
+    "dual-a-before": _dual(lambda spec: _stacked(dual_a_levels(spec)),
+                           DualScheme.SEPARATE_BEFORE),
+    "dual-b": _dual(lambda spec: _stacked(dual_b_levels(spec)), DualScheme.INCORPORATED),
 }
 
 
@@ -206,7 +217,7 @@ def _validated(node: ResolutionNode) -> Built:
 
 
 def build_scheme_tree(point: SchemePoint) -> Built:
-    """The point's tree and its ``tree.validate`` report."""
+    """The point's ``Built``: its tree, None for a built-in scheme, and its report."""
     scheme = scheme_of(point.scheme)
     for name in scheme.fields:
         if getattr(point, name) is None:
@@ -229,12 +240,12 @@ def evaluate_grid(
     target set to each value, in list order; a bad value raises when reached.
 
     Where target is n, fixed's scheme nests in n, mode reads no payoff
-    range and every value is a valid n, the rows share one build and its
-    report: those of the tree at the largest value, N.  That tree is a
-    spine (see ``Scheme.nests_from``), and the tree at n is its node N - n
-    levels down the last branches, so a ``tree.Spine`` of it under the
-    grid's one params and scale gives each row from flat lists, computing
-    each node's kernel jump once.  Otherwise every row is evaluated alone.
+    range and every value is a valid n, the rows share one report: that of
+    the tree at the largest value, N.  That tree is a spine (see
+    ``Scheme.nests_from``), and the tree at n is its node N - n levels down
+    the last branches, so a ``tree.Spine`` of the report's flat spine under
+    the grid's one params and scale gives each row, computing each node's
+    kernel jump once.  Otherwise every row is evaluated alone.
     The shared build waits for the first point, whose own build would
     raise the same errors: none depends on n.
     """
@@ -262,7 +273,7 @@ def _spine_point(spine: Spine, i: int, transform: AffineTransform) -> tuple[floa
     """evaluate_point's triple for the tree at path node i of spine, whose
     scale is transform's.  Its stage surprises die here, not at the next row."""
     scaled = spine.result(i, transform.offset)
-    return (spine.table[id(spine.nodes[i])], scaled.total_surprise,
+    return (spine.values[i], scaled.total_surprise,
             transform.invert_utility(scaled.utility))
 
 
@@ -459,11 +470,13 @@ def figure_rows(fig_id: str, overrides: dict | None = None) -> tuple[list[str], 
     k2_prob = check_nonnegative("--k2-prob", v["k2_prob"]) if "k2_prob" in v else None
     header, rows = [fig.target, *fig.columns], []
     if not fig.series:
-        # figA3: the full range is [0, 1/p]; partial divides by (1/p)**(1/alpha)
+        # figA3: the full range is [0, 1/p]; partial divides by (1/p)**(1/alpha).
+        # One report per x serves its three modes.
         for x in fig.grid:
             point = SchemePoint("gamble", hi=1.0 / x, lo=0.0, p=x)
+            built = build_scheme_tree(point)
             modes = (AffineTransform(), PartialScaling(), AffineTransform(x ** (-1.0 / params.alpha)))
-            utilities = [evaluate_point(point, params, mode)[2] for mode in modes]
+            utilities = [_scaled_evaluation(*built, params, mode).utility for mode in modes]
             _refuse_subnormal(point, **dict(zip(fig.columns, utilities)))
             rows.append([x, *utilities])
         return header, rows

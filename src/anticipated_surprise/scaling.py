@@ -148,7 +148,8 @@ def scaled_evaluation(
 
 def _scaled_evaluation(node: ResolutionNode, report: ValidationReport, params: ModelParams,
                        mode: ScalingMode) -> ScaledEvaluation:
-    """``scaled_evaluation`` of node from its ``validate`` report."""
+    """``scaled_evaluation`` of node from its ``validate`` report; node may
+    be None if the report has a flat spine (see ``tree.stack``)."""
     transform = _transform_for(report.payoff_min, report.payoff_max, mode)
     scaled = _result(node, report, params, transform.scale, transform.offset)
     return ScaledEvaluation(

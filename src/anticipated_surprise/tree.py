@@ -15,6 +15,11 @@ branch along a hazard chain.  A shared node is visited, and counted in
 ``ValidationReport.node_count``, once per path through it; its
 conditional expected value depends only on its subtree, so one entry
 keyed by its ``id()`` serves every path.
+
+A spine, whose internal nodes all lie on its path of last branches, is
+evaluated from flat float lists (``ValidationReport.spine``), and
+``stack`` fills those for a spine given as a leaf and its levels
+without building a node.
 """
 
 from __future__ import annotations
@@ -63,7 +68,7 @@ ResolutionNode = Union[Terminal, Internal]
 @dataclass
 class ValidationReport:
     """Outcome of ``validate``'s walk; ``stack`` fills the same report for
-    the spine it builds, without a walk.
+    the spine of its levels, without a walk and without a node.
 
     Renormalized paths had probability sums off from 1 by at most
     PROBABILITY_SUM_TOL and are divided through by their exact sum during
@@ -72,16 +77,20 @@ class ValidationReport:
     range (of equal payoffs, the last met in branch order), the root's
     expected value and, in ``conditional_values``, the conditional expected
     value of every internal node keyed by ``id()`` (valid while the tree it
-    was computed from is alive).
+    was computed from is alive).  A report of ``stack``'s has no node to
+    key, so its ``conditional_values`` is empty.
 
     If the walk never pushed, the tree is a spine (every built-in scheme's
     is): its internal nodes all lie on the path of last branches, and
-    ``spine`` holds that path as four lists: its internal nodes, root
-    first; each one's total, its branch probabilities summed from 0.0 in
-    order; its survival, the last probability over that total; and its
-    surprise weight.  ``_result`` and a ``Spine`` evaluate it in
-    ``_stages``' float loop.  For any other tree it is None: evaluation
-    walks it depth first in ``_stage_surprises``.
+    ``spine`` holds that path as four flat lists that name no node:
+    ``values``, the path nodes' conditional values, root first, then the
+    payoff at the bottom's last branch; ``sides``, for each path node, the
+    (p / total, payoff) pairs of its branches before the last, total being
+    its branch probabilities summed from 0.0 in order; ``survivals``, its
+    last probability over that total; and ``weights``, its surprise
+    weight.  ``_result`` and a ``Spine`` evaluate it in ``_stages``' float
+    loop.  For any other tree it is None: evaluation walks it depth first
+    in ``_stage_surprises``.
     """
 
     node_count: int = 0
@@ -93,8 +102,8 @@ class ValidationReport:
     conditional_values: dict[int, float] = field(
         default_factory=dict, repr=False, compare=False
     )
-    spine: tuple[list[Internal], list[float], list[float], list[float]] | None = (
-        field(default=None, repr=False, compare=False))
+    spine: tuple[list[float], list[tuple[tuple[float, float], ...]], list[float],
+                 list[float]] | None = field(default=None, repr=False, compare=False)
 
 
 @dataclass(frozen=True)
@@ -223,8 +232,14 @@ def validate(node: ResolutionNode) -> ValidationReport:
         raise ValidationError(f"{_where(nodes, leads, k)}: expected value overflows the float range")
     paths = renormalized and [_where(nodes, leads, k) for k in sorted(  # as the last branch first
         renormalized, key=lambda k: [-i for i in _trail(nodes, leads, k)])]
-    return ValidationReport(count, deepest + 1, paths, lo, hi, value, table,
-                            None if leads else (nodes, totals, survivals, weights))
+    spine = None
+    if not leads:  # a spine: every branch but a path node's last ends in a terminal
+        values = [table[id(nd)] for nd in nodes]
+        values.append(nodes[-1].branches[-1].child.payoff if n else node.payoff)
+        sides = [tuple((br.probability / total, br.child.payoff) for br in nd.branches[:-1])
+                 for nd, total in zip(nodes, totals)]
+        spine = values, sides, survivals, weights
+    return ValidationReport(count, deepest + 1, paths, lo, hi, value, table, spine)
 
 
 def _trail(nodes: list[Internal], leads: dict[int, tuple[int, int]], k: int) -> list[int]:
@@ -257,21 +272,24 @@ def pile(leaf: Terminal, levels: Iterable[Level]) -> ResolutionNode:
     return node
 
 
-def stack(leaf: Terminal, levels: Sequence[Level]) -> tuple[ResolutionNode, ValidationReport]:
-    """``pile(leaf, levels)`` and its ``validate`` report, filled on the way up.
+def stack(leaf: Terminal, levels: Sequence[Level]) -> ValidationReport:
+    """``validate(pile(leaf, levels))``'s report, filled bottom-up in one
+    float loop that builds no node, so its ``conditional_values`` is empty.
 
-    A level is checked once, however often it repeats.  Each float is
-    validate's, made in validate's order: a node's value is 0.0 + p * x,
-    p and x being its side's probability and payoff, then + q * the value
-    below; the payoff range keeps, of equal payoffs, the last met top-down,
-    down to the sign of a zero.  Where validate could refuse the tree or
-    renormalize a node, or a number is not a float, the tree is piled
-    again and the report is validate's own, so every error is validate's.
+    A level is checked once, however often it repeats, and its reps share
+    one tuple of side pairs.  Each float is validate's, made in validate's
+    order: a node's value is 0.0 + p * x, p and x being its side's
+    probability and payoff, then + q * the value below, and its total,
+    0.0 + p + q, is exactly 1.0, so p and q are its side's pair and its
+    survival; the payoff range keeps, of equal payoffs, the last met
+    top-down, down to the sign of a zero.  Where validate could refuse the
+    tree or renormalize a node, or a number is not a float, the report is
+    ``validate(pile(leaf, levels))`` itself, so every error is validate's.
     """
-    node = leaf
     value = lo = hi = leaf.payoff
     fine = type(value) is float
-    count, nodes, survivals, weights, table = 1, [], [], [], {}
+    count, values, sides, survivals, weights = 1, [value], [], [], []
+    append = values.append
     for side, q, weight, reps in levels:
         p, x = side.probability, side.child.payoff
         # validate's checks, and a total 0.0 + p + q of exactly 1.0: dividing by it changes no value
@@ -286,21 +304,18 @@ def stack(leaf: Terminal, levels: Sequence[Level]) -> tuple[ResolutionNode, Vali
             hi = x
         s = 0.0 + p * x
         for _ in range(reps):
-            node = Internal((side, Branch(q, node)), weight)
             value = s + q * value
-            table[id(node)] = value
-            nodes.append(node)
+            append(value)
         count += 2 * reps
+        sides += [((p, x),)] * reps
         survivals += [q] * reps
         weights += [weight] * reps
     if not (fine and isfinite(value)):  # a payoff that is not finite leaves the root's value so
-        node = pile(leaf, levels)
-        return node, validate(node)
-    nodes.reverse()
-    survivals.reverse()
-    weights.reverse()
-    return node, ValidationReport(count, len(nodes), [], lo, hi, value, table,
-                                  (nodes, [1.0] * len(nodes), survivals, weights))
+        return validate(pile(leaf, levels))
+    for column in (values, sides, survivals, weights):
+        column.reverse()
+    return ValidationReport(count, len(survivals), [], lo, hi, value, {},
+                            (values, sides, survivals, weights))
 
 
 def expected_value(node: ResolutionNode) -> float:
@@ -379,16 +394,30 @@ def _result(node: ResolutionNode, report: ValidationReport, params: ModelParams,
     the identity (1, 0) leaves every float as it is.  A spine-shaped tree
     is evaluated down its path in ``_stages``' float loop, any other depth
     first in ``_stage_surprises``: the same floats in the same order."""
-    table = report.conditional_values
     u0 = (report.expected_value - offset) / scale
     if report.spine is None:
-        surprises = _stage_surprises(node, table, params, scale)
+        surprises = _stage_surprises(node, report.conditional_values, params, scale)
         return _finished(surprises, _sum(surprises), u0, params)
-    nodes, totals, survivals, weights = report.spine
+    _, _, survivals, weights = report.spine
+    return _stages(_spine_jumps(report.spine, 0, len(survivals), params, scale), weights,
+                   survivals, 0, u0, params)
+
+
+def _spine_jumps(spine: tuple, start: int, stop: int, params: ModelParams,
+                 scale: float) -> list[float]:
+    """The kernel jumps of path nodes start to stop - 1 of a report's flat
+    spine, top-down, each ``_jump``'s floats in its order: node k's is the
+    sum from 0.0, over its side pairs (q, x) and then its survival q and
+    the value below, values[k + 1], of q * surprise_kernel((x - values[k])
+    / scale)."""
+    values, sides, survivals, _ = spine
     jumps = []
-    for nd, total in zip(nodes, totals):
-        jumps.append(_jump(nd, total, table, params, scale))
-    return _stages(jumps, weights, survivals, 0, u0, params)
+    for k in range(start, stop):
+        here, jump = values[k], 0.0
+        for q, x in sides[k]:
+            jump += q * surprise_kernel((x - here) / scale, params)
+        jumps.append(jump + survivals[k] * surprise_kernel((values[k + 1] - here) / scale, params))
+    return jumps
 
 
 def _stages(jumps: list[float], weights: list[float], survivals: list[float], i: int,
@@ -414,32 +443,32 @@ def _finished(surprises: list[float], total: float, u0: float,
 
 
 class Spine:
-    """A validated spine-shaped tree (see ``ValidationReport.spine``),
-    evaluated at any node of its path of last branches under one params
-    and one scale.
+    """A validated spine-shaped tree's flat spine (see
+    ``ValidationReport.spine``), evaluated at any node of its path of last
+    branches under one params and one scale.
 
     Each path node's kernel jump is computed once, top-down as the rows
     first reach it, so a kernel error is the one that the row, evaluated
-    alone, meets.  A path node's expected value is read from the report's
-    ``conditional_values``.
+    alone, meets.  A path node's expected value is ``values[i]``.
     """
 
     def __init__(self, report: ValidationReport, params: ModelParams, scale: float) -> None:
-        self.nodes, self.totals, self.survivals, self.weights = report.spine
-        self.table, self.params, self.scale = report.conditional_values, params, scale
-        self.jumps = [0.0] * len(self.nodes)
-        self._computed = len(self.nodes)  # jumps[_computed:] hold their values
+        self.spine = report.spine
+        self.values, _, self.survivals, self.weights = report.spine
+        self.params, self.scale = params, scale
+        self.jumps = [0.0] * len(self.survivals)
+        self._computed = len(self.survivals)  # jumps[_computed:] hold their values
 
     def result(self, i: int, offset: float) -> EvaluationResult:
         """``_result`` of the subtree at path node i, payoffs read as
         (x - offset) / scale."""
         jumps = self.jumps
         if i < self._computed:
-            for k in range(i, self._computed):
-                jumps[k] = _jump(self.nodes[k], self.totals[k], self.table, self.params, self.scale)
+            jumps[i:self._computed] = _spine_jumps(self.spine, i, self._computed, self.params,
+                                                   self.scale)
             self._computed = i
         return _stages(jumps.copy(), self.weights, self.survivals, i,
-                       (self.table[id(self.nodes[i])] - offset) / self.scale, self.params)
+                       (self.values[i] - offset) / self.scale, self.params)
 
 
 def _sum(values: Iterable[float]) -> float:

@@ -20,8 +20,10 @@ from math import inf, isfinite
 from pathlib import Path
 from typing import NoReturn
 
-from anticipated_surprise import (Branch, Internal, ModelParams, Terminal, ValidationError,
-                                  ValidationReport, surprise_kernel)
+from anticipated_surprise import (Branch, DualRiskSpec, DualScheme, Internal, ModelParams,
+                                  Terminal, TimingRiskSpec, ValidationError, ValidationReport,
+                                  build_binary_gamble, build_dual_scheme_a, build_dual_scheme_b,
+                                  build_hazard_chain, build_timing_risk, surprise_kernel)
 from anticipated_surprise.cli import SchemePoint
 # _sum: left to right, so that a seed gives the same trees on every interpreter
 from anticipated_surprise.tree import (PROBABILITY_SUM_TOL, ResolutionNode, _finished, _jump,
@@ -33,6 +35,26 @@ NESTING = {
     "timing": SchemePoint("timing", p=0.05, p_tr=0.3, k_tr=4.0),
     "dual-a-after": SchemePoint("dual-a-after", p=0.03, p_pr=0.6),
 }
+
+#: The dual-risk scheme behind each dual ``cli.SCHEMES`` entry.
+DUAL_SCHEMES = {"dual-a-after": DualScheme.SEPARATE_AFTER,
+                "dual-a-before": DualScheme.SEPARATE_BEFORE, "dual-b": DualScheme.INCORPORATED}
+
+
+def scheme_tree(point: SchemePoint) -> ResolutionNode:
+    """The tree of a built-in scheme's point, ``pile(*levels)`` of the
+    levels that its ``cli.SCHEMES`` entry stacks, from the public builder;
+    it raises the builder's ValidationError for a point the scheme rejects.
+    The entries build no node, so tests that read one build it here."""
+    scheme = point.scheme
+    if scheme == "gamble":
+        return build_binary_gamble(point.hi, point.lo, point.p)
+    if scheme == "hazard":
+        return build_hazard_chain(point.p, point.n)
+    if scheme == "timing":
+        return build_timing_risk(TimingRiskSpec(point.p, point.n, point.p_tr, point.k_tr))
+    spec = DualRiskSpec(point.p, point.n, point.p_pr, DUAL_SCHEMES[scheme])
+    return build_dual_scheme_b(spec) if scheme == "dual-b" else build_dual_scheme_a(spec)
 
 
 def golden_text(cases: dict) -> str:

@@ -27,7 +27,7 @@ from anticipated_surprise.cli import (
     sweep_rows,
 )
 from anticipated_surprise.scaling import NoScaling, parse_scaling_mode
-from conftest import NESTING, level_walk_result
+from conftest import NESTING, level_walk_result, scheme_tree
 
 
 def run(capsys, argv):
@@ -854,10 +854,10 @@ def count_builds(monkeypatch) -> list:
 
 
 #: (figure id, builds, kernel calls) of one figure_rows call; no point walks
-#: its tree, since each build comes with its report.
+#: a tree, since each build is its stacked report.
 FIGURE_WORK = [
-    # a tree per point, two branches each
-    ("fig1", 99, 198), ("figA3", 150, 300),
+    # a report per point, two branches each; figA3's serves its three modes
+    ("fig1", 99, 198), ("figA3", 50, 300),
     # one shared n-grid tree, for fig5-left one per k_tr
     ("fig3-left", 1, 100), ("fig3-right", 1, 100), ("figA1", 1, 100), ("fig5-left", 2, 56),
     # a p_tr grid shares nothing: 91 points at each of two k_tr
@@ -923,6 +923,49 @@ class TestHelpers:
         kernel_calls = count_kernel(monkeypatch)
         figure_rows(fig_id)
         assert (len(built), len(walks), len(kernel_calls)) == (builds, 0, kernels)
+
+    def test_built_in_points_neither_pile_nor_validate(self, monkeypatch, capsys):
+        """eval, sweep and figure on every built-in scheme build no node and
+        walk no tree; a gamble that validate refuses still exits 2 with
+        validate's message, from the tree piled for it."""
+        from anticipated_surprise import builders, cli, scaling, tree
+
+        with pytest.raises(ValidationError) as refused:
+            validate(build_binary_gamble(math.inf, 0.0, 0.3))
+        calls = []
+
+        def recording(name, original):
+            def wrapper(*args):
+                calls.append(name)
+                return original(*args)
+            return wrapper
+
+        pile, walk = recording("pile", tree.pile), recording("validate", tree.validate)
+        for module in (tree, builders):
+            monkeypatch.setattr(module, "pile", pile)
+        for module in (tree, scaling, cli):
+            monkeypatch.setattr(module, "validate", walk)
+        values = {"p": "0.03", "n": "4", "hi": "2", "lo": "-1", "p_tr": "0.3", "k_tr": "4",
+                  "p_pr": "0.6"}
+        grids = {"p": "0.01,0.2", "n": "2,5,3", "hi": "1,3", "lo": "-2,0", "p_tr": "0.1,0.9",
+                 "k_tr": "0,2", "p_pr": "0.3,0.9"}
+        for scheme, entry in SCHEMES.items():
+            argv = ["--scheme", scheme]
+            for name in entry.fields:
+                argv += [flag(name), values[name]]
+            for scaling_mode in ("none", "full"):
+                assert run(capsys, ["eval", *argv, "--scaling", scaling_mode])[0] == 0
+                for target in entry.fields:
+                    code, _, _ = run(capsys, ["sweep", *argv, "--scaling", scaling_mode,
+                                              "--target", target, f"--values={grids[target]}"])
+                    assert code == 0, (scheme, target)
+        for fig_id in FIGURES:
+            assert run(capsys, ["figure", fig_id, "--out", "-"])[0] == 0
+        assert calls == []
+        code, out, err = run(capsys, ["eval", "--scheme", "gamble", "--hi", "inf", "--lo", "0",
+                                      "--p", "0.3"])
+        assert (code, out, err) == (2, "", f"error: {refused.value}\n")
+        assert calls == ["pile", "validate"]
 
     @pytest.mark.parametrize("fig_id", ["fig7", "figA2"])
     def test_dual_figure_builds_u_p_params_once(self, monkeypatch, fig_id):
@@ -1013,9 +1056,14 @@ class TestNGrid:
         entry = SCHEMES[scheme]
         point = SchemePoint(scheme, p=0.03, p_tr=0.3, k_tr=4.0, p_pr=0.6)
         first = entry.nests_from or 2
-        trees = [entry.build(replace(point, n=n))[0] for n in range(first, first + 5)]
+        points = [replace(point, n=n) for n in range(first, first + 5)]
+        trees = [scheme_tree(pt) for pt in points]
         descents = [big.branches[-1].child == small for big, small in zip(trees[1:], trees)]
         assert descents == [entry.nests_from is not None] * 4
+        # the entry's reports nest as its trees do: the smaller one a level down the flat spine
+        spines = [entry.build(pt)[1].spine for pt in points]
+        assert [all(column[1:] == below for column, below in zip(big, small))
+                for big, small in zip(spines[1:], spines)] == descents
         if entry.nests_from is not None:
             with pytest.raises(ValidationError):
                 entry.build(replace(point, n=first - 1))
@@ -1068,14 +1116,16 @@ class TestNGrid:
         """Every scheme's tree is a spine, the nesting ones' (see
         Scheme.nests_from) included: each internal node lies on the path of
         last branches, each other branch ends in a terminal, and validate
-        reports that path."""
-        tree, _ = SCHEMES[scheme].build(SchemePoint(scheme, p=0.03, n=n, hi=2.0, lo=-1.0,
-                                                    p_tr=0.3, k_tr=4.0, p_pr=0.6))
+        reports that path as flat lists."""
+        tree = scheme_tree(SchemePoint(scheme, p=0.03, n=n, hi=2.0, lo=-1.0, p_tr=0.3, k_tr=4.0,
+                                       p_pr=0.6))
         path, node = [], tree
         while isinstance(node, Internal):
             assert all(isinstance(br.child, Terminal) for br in node.branches[:-1])
             path.append(node)
             node = node.branches[-1].child
-        spine = validate(tree).spine
-        assert spine is not None and len(spine[0]) == len(path)
-        assert all(got is want for got, want in zip(spine[0], path))
+        report = validate(tree)
+        values, sides, survivals, weights = report.spine
+        assert values == [report.conditional_values[id(nd)] for nd in path] + [node.payoff]
+        assert [len(pairs) for pairs in sides] == [len(nd.branches) - 1 for nd in path]
+        assert len(survivals) == len(path) and weights == [nd.surprise_weight for nd in path]

@@ -31,7 +31,8 @@ from anticipated_surprise.cli import (SCHEMES, SchemePoint, evaluate_grid, evalu
                                       sweep_rows, whole)
 from anticipated_surprise.scaling import parse_scaling_mode
 from anticipated_surprise.tree import _result, _sum
-from conftest import NESTING, first_fault, level_walk_result, result_bits, walk_report
+from conftest import (DUAL_SCHEMES, NESTING, first_fault, level_walk_result, result_bits,
+                      scheme_tree, walk_report)
 from test_closed_form_bits import bits
 
 hypothesis = pytest.importorskip("hypothesis")
@@ -83,16 +84,12 @@ def test_tree_matches_scheme_closed_form(name):
     @hypothesis.settings(max_examples=300, derandomize=True, database=None, deadline=None)
     @hypothesis.given(points(name), PARAMS)
     def check(point, params):
-        tree = evaluate(entry.build(point)[0], params)
+        tree = evaluate(scheme_tree(point), params)
         delta, utility = entry.closed(point, params)
         assert abs(delta - tree.total_surprise) <= 1e-9, (point, params, delta, tree)
         assert abs(utility - tree.utility) <= 1e-9, (point, params, utility, tree)
 
     check()
-
-
-DUAL_SCHEMES = {"dual-a-after": DualScheme.SEPARATE_AFTER,
-                "dual-a-before": DualScheme.SEPARATE_BEFORE, "dual-b": DualScheme.INCORPORATED}
 
 
 def closed_ratio(name: str, pt: SchemePoint, params: ModelParams, k2_prob: float) -> float:
@@ -324,12 +321,17 @@ def test_spine_lane_gives_the_walks_report_or_error(case, transform):
     assert (report.spine is None) == ("bushy" in faults)
     if report.spine is None:
         return
-    nodes, totals, survivals, weights = report.spine
+    values, sides, survivals, weights = report.spine
     path, nd = [], tree
     while isinstance(nd, Internal):
         path.append(nd)
         nd = nd.branches[-1].child
-    assert [id(x) for x in nodes] == [id(x) for x in path]
+    totals = [_sum(br.probability for br in x.branches) for x in path]
+    table = walk_report(tree).conditional_values
+    assert [float.hex(v) for v in values] == [float.hex(v) for v in (
+        *(table[id(x)] for x in path), nd.payoff)]
+    assert sides == [tuple((br.probability / t, br.child.payoff) for br in x.branches[:-1])
+                     for x, t in zip(path, totals)]
     assert weights == [x.surprise_weight for x in path]
     assert survivals == [x.branches[-1].probability / t for x, t in zip(path, totals)]
     params, (scale, offset) = ModelParams(k2=10.0), transform

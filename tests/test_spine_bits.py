@@ -28,9 +28,9 @@ import hashlib
 from pathlib import Path
 
 from anticipated_surprise import Branch, Internal, ModelParams, Modulation, Terminal, validate
-from anticipated_surprise.cli import SCHEMES, SchemePoint
+from anticipated_surprise.cli import SchemePoint
 from anticipated_surprise.scaling import parse_scaling_mode, scaled_evaluation
-from conftest import bit_script, drifted
+from conftest import bit_script, drifted, scheme_tree
 
 GOLDEN = Path(__file__).resolve().parent / "goldens" / "spine_bits.json"
 
@@ -82,7 +82,7 @@ def built_spines():
 def cases():
     """(name, tree, params name, scaling) for every golden case, in a fixed order."""
     for scheme, point in POINTS.items():
-        tree, _ = SCHEMES[scheme].build(point)
+        tree = scheme_tree(point)
         for mode in ("none", "full", "partial:0.6", "scale:3"):
             for params in PARAMS:
                 yield f"{scheme}-{mode}-{params}", tree, params, mode
@@ -90,7 +90,7 @@ def cases():
         for mode in ("none", "full", "partial:0.6", "scale:3"):
             yield f"{name}-{mode}", tree, "exp", mode
     for p in P_SWEEP:
-        tree, _ = SCHEMES["hazard"].build(SchemePoint("hazard", p=p, n=400))
+        tree = scheme_tree(SchemePoint("hazard", p=p, n=400))
         yield f"hazard-p{p}-n400", tree, "k2=10", "none"
 
 

@@ -1,18 +1,19 @@
 """``tree.stack``'s report against ``tree.validate``'s, field by field.
 
-Every built-in tree is stacked from a leaf and its levels, and ``stack``
-fills the tree's report on the way up instead of walking the tree again.
-This check builds every ``cli.SCHEMES`` entry and ``build_scenario`` at
+Every built-in point is a leaf and its levels, and ``stack`` fills the
+report of the tree they pile into in one float loop, building no node.
+This check takes every ``cli.SCHEMES`` entry and ``scenario_levels`` at
 seeded points and at their edges (p -> 0, k_tr = 0, hi == lo, payoffs of
 both zero signs, n = 1 and n = 3,000), plus hand-made levels that
 ``validate`` renormalizes or reads as ints, and asserts that each report
-equals ``validate(root)``: counts and renormalized paths equal, every
-float the same bits (the sign of a zero and the type included), the
-conditional values keyed by the same nodes in the same order, and the
-spine's lists holding the same node objects.  A tree that ``validate``
-refuses, a gamble with a payoff that is not finite or hand-made levels
-with a weight or probabilities out of range, raises ``validate``'s own
-message.  The check needs no pytest:
+equals ``validate`` of the piled tree (``conftest.scheme_tree`` for an
+entry): counts and renormalized paths equal, every float the same bits
+(the sign of a zero and the type included), and the flat spine's values,
+survivals and weights the same bits, list by list, and its sides the
+same, pair by pair.  An entry hands over no tree.  A tree that
+``validate`` refuses, a gamble with a payoff that is not finite or
+hand-made levels with a weight or probabilities out of range, raises
+``validate``'s own message.  The check needs no pytest:
 
     PYTHONPATH=src:tests python tests/test_stack_bits.py    # exit 1 on drift
 """
@@ -29,6 +30,7 @@ from anticipated_surprise import (Branch, Internal, ScenarioSpec, Terminal, Vali
 from anticipated_surprise.builders import scenario_levels
 from anticipated_surprise.cli import SCHEMES, SchemePoint
 from anticipated_surprise.tree import pile, stack
+from conftest import scheme_tree
 
 SEED = 20261021
 POINTS_PER_SCHEME = 300
@@ -39,6 +41,11 @@ def _bits(x: object) -> str:
     return f"{type(x).__name__}:{float.hex(x) if isinstance(x, float) else repr(x)}"
 
 
+def _side_bits(sides: list) -> list[list[tuple[str, str]]]:
+    """A flat spine's sides, each (p / total, payoff) pair as bits."""
+    return [[(_bits(q), _bits(x)) for q, x in pairs] for pairs in sides]
+
+
 def report_drift(root, report) -> list[str]:
     """The fields of report that differ from validate(root)'s."""
     want = validate(root)
@@ -46,18 +53,16 @@ def report_drift(root, report) -> list[str]:
            if getattr(report, name) != getattr(want, name)]
     bad += [name for name in ("payoff_min", "payoff_max", "expected_value")
             if _bits(getattr(report, name)) != _bits(getattr(want, name))]
-    got, exp = report.conditional_values, want.conditional_values
-    if list(got) != list(exp) or list(map(_bits, got.values())) != list(map(_bits, exp.values())):
-        bad.append("conditional_values")
     if (report.spine is None) != (want.spine is None):
         bad.append("spine")
     elif report.spine is not None:
-        nodes, *columns = report.spine
-        want_nodes, *want_columns = want.spine
-        if len(nodes) != len(want_nodes) or any(a is not b for a, b in zip(nodes, want_nodes)):
-            bad.append("spine nodes")
-        if [list(map(_bits, c)) for c in columns] != [list(map(_bits, c)) for c in want_columns]:
-            bad.append("spine lists")
+        (values, sides, *columns), (want_values, want_sides, *want_columns) = report.spine, want.spine
+        for name, got, exp in zip(("values", "survivals", "weights"), (values, *columns),
+                                  (want_values, *want_columns)):
+            if list(map(_bits, got)) != list(map(_bits, exp)):
+                bad.append(f"spine {name}")
+        if _side_bits(sides) != _side_bits(want_sides):
+            bad.append("spine sides")
     return bad
 
 
@@ -108,27 +113,32 @@ def hand_stacks() -> list[tuple[str, Terminal, list]]:
 
 
 def _stacked(leaf, levels) -> tuple:
-    """stack(leaf, levels), whose tree must equal pile's, the builders' tree."""
-    root, report = stack(leaf, levels)
-    assert root == pile(leaf, levels)
-    return root, report
+    """pile(leaf, levels) and stack(leaf, levels)."""
+    return pile(leaf, levels), stack(leaf, levels)
+
+
+def _built(point: SchemePoint) -> tuple:
+    """point's tree and its scheme entry's report, the entry's tree checked to be None."""
+    tree, report = SCHEMES[point.scheme].build(point)
+    assert tree is None
+    return scheme_tree(point), report
 
 
 def cases():
     """(name, root, report) of every case, in a fixed order."""
     rng = random.Random(SEED)
-    for scheme, entry in SCHEMES.items():
+    for scheme in SCHEMES:
         for i in range(POINTS_PER_SCHEME):
             point = _point(rng, scheme)
             try:
-                root, report = entry.build(point)
+                root, report = _built(point)
             except ValidationError:  # dual-b's inflated hazard outside (0, 1)
                 continue
             yield f"{scheme}-{i}", root, report
     for i in range(POINTS_PER_SCHEME):
         yield f"scenario-{i}", *_stacked(*scenario_levels(_scenario(rng)))
     for point in edge_points():
-        yield f"edge-{point}", *SCHEMES[point.scheme].build(point)
+        yield f"edge-{point}", *_built(point)
     for name, leaf, levels in hand_stacks():
         yield name, *_stacked(leaf, levels)
 

@@ -19,10 +19,11 @@ from anticipated_surprise import (
     tree_to_dict,
     validate,
 )
-from anticipated_surprise.scaling import NoScaling, parse_scaling_mode, scaled_evaluation
+from anticipated_surprise.scaling import (NoScaling, _scaled_evaluation, parse_scaling_mode,
+                                          scaled_evaluation)
 from anticipated_surprise.tree import Spine, _result
-from conftest import (level_walk_result, random_tree, result_bits, trajectory_stage_surprises,
-                      walk_report)
+from conftest import (level_walk_result, random_tree, result_bits, scheme_tree,
+                      trajectory_stage_surprises, walk_report)
 
 P = ModelParams()
 
@@ -288,9 +289,10 @@ class TestMartingaleAndDecomposition:
     @pytest.mark.parametrize("params,scale,offset",
                              [(P, 1.0, 0.0), (ModelParams(k=5.0, alpha=2.2), 0.37, 0.25)])
     def test_spine_gives_a_fresh_reports_bits(self, params, scale, offset):
-        """The spine on each nesting scheme's report, evaluated at every node
-        of the report's path in shuffled order (so rows read jumps computed
-        for others), gives the level walk's bits for that node's subtree."""
+        """The spine on each nesting scheme's stacked report, evaluated at
+        every node of its tree's path in shuffled order (so rows read jumps
+        computed for others), gives the level walk's bits for that node's
+        subtree."""
         from anticipated_surprise.cli import SCHEMES, SchemePoint
 
         rng = random.Random(13)
@@ -300,7 +302,10 @@ class TestMartingaleAndDecomposition:
                   for k_tr in (3.0, 0.0)]
         for point in points:
             _, report = SCHEMES[point.scheme].build(point)
-            nodes = report.spine[0]
+            nodes, nd = [], scheme_tree(point)
+            while isinstance(nd, Internal):
+                nodes.append(nd)
+                nd = nd.branches[-1].child
             assert len(nodes) == report.max_depth
             spine = Spine(report, params, scale)
             order = list(range(len(nodes)))
@@ -309,25 +314,29 @@ class TestMartingaleAndDecomposition:
                 fresh = walk_report(nodes[i])
                 want = level_walk_result(nodes[i], fresh, params, scale, offset)
                 assert result_bits(spine.result(i, offset)) == result_bits(want)
-                assert spine.table[id(nodes[i])] == fresh.expected_value
+                assert spine.values[i] == fresh.expected_value
 
     @pytest.mark.parametrize("mode", ["none", "full", "partial:0.6"])
     @pytest.mark.parametrize("params", [P, ModelParams(k=5.0, alpha=2.2, k2=10.0)],
                              ids=["default", "k5"])
     def test_one_shot_evaluation_gives_the_level_walks_bits(self, params, mode):
         """scaled_evaluation of every scheme's tree, a spine, down the flat
-        path gives the level walk's bits."""
+        path gives the level walk's bits, and so does the scheme's stacked
+        report, which has no tree."""
         from anticipated_surprise.cli import SCHEMES, SchemePoint
 
         for name, entry in SCHEMES.items():
             for k_tr in (3.0, 0.0):
-                tree, _ = entry.build(SchemePoint(name, p=0.03, n=30, hi=2.0, lo=-1.0, p_tr=0.3,
-                                                  k_tr=k_tr, p_pr=0.6))
+                point = SchemePoint(name, p=0.03, n=30, hi=2.0, lo=-1.0, p_tr=0.3, k_tr=k_tr,
+                                    p_pr=0.6)
+                tree = scheme_tree(point)
                 report = walk_report(tree)
                 got = scaled_evaluation(tree, params, parse_scaling_mode(mode))
                 t = got.transform
                 want = level_walk_result(tree, report, params, t.scale, t.offset)
                 assert result_bits(got.scaled) == result_bits(want), name
+                stacked = _scaled_evaluation(*entry.build(point), params, parse_scaling_mode(mode))
+                assert result_bits(stacked.scaled) == result_bits(want), name
                 assert validate(tree).spine is not None, name
 
 
